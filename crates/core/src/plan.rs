@@ -28,7 +28,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use bolt_gpu_sim::{simulate_kernel, GpuArch, KernelProfile, KernelTime, Timeline};
 use bolt_graph::{Graph, NodeId, OpKind};
@@ -759,6 +759,17 @@ impl StepObserver for StepTimings {
 // The plan
 // ---------------------------------------------------------------------------
 
+/// A plan's simulator price, memoized on the plan by
+/// [`ExecutionPlan::price`].
+#[derive(Debug, Clone)]
+pub struct PlanPrice {
+    /// End-to-end simulated time of one run, µs
+    /// (`TimingReport::total_us`).
+    pub total_us: f64,
+    /// Every step's simulated time, in execution order.
+    pub timings: StepTimings,
+}
+
 /// The compiled artifact: ordered steps, prepacked constants, and a
 /// liveness-planned slot table, executable in functional or timing mode.
 #[derive(Debug)]
@@ -773,6 +784,8 @@ pub struct ExecutionPlan {
     slots: SlotPlan,
     /// Pool of reusable run workspaces (LIFO).
     pool: Mutex<Vec<Workspace>>,
+    /// The simulator price, computed on first [`ExecutionPlan::price`].
+    price: OnceLock<PlanPrice>,
 }
 
 /// Looks up values for host ops during slot execution: fused-chain
@@ -854,6 +867,7 @@ impl ExecutionPlan {
             packed: Vec::new(),
             slots,
             pool: Mutex::new(Vec::new()),
+            price: OnceLock::new(),
         };
         let packed = plan
             .steps
@@ -991,15 +1005,23 @@ impl ExecutionPlan {
 
     /// Prices every step on the simulator.
     pub fn time(&self) -> TimingReport {
-        let mut timeline = Timeline::new();
-        for step in &self.steps {
-            let time = self.step_time(step);
-            timeline.push(step.name.clone(), &time);
+        struct Unobserved;
+        impl StepObserver for Unobserved {
+            fn observe(&mut self, _: usize, _: &Step, _: &KernelTime) {}
         }
-        TimingReport {
-            total_us: timeline.total_us(),
-            timeline,
-        }
+        self.time_observed(&mut Unobserved)
+    }
+
+    /// The plan's simulator price, computed on the first call and
+    /// memoized for the plan's lifetime. Pricing is a pure function of
+    /// the plan, so serving layers read this per launch instead of
+    /// re-walking the simulator; building a plan never prices it.
+    pub fn price(&self) -> &PlanPrice {
+        self.price.get_or_init(|| {
+            let mut timings = StepTimings::default();
+            let total_us = self.time_observed(&mut timings).total_us;
+            PlanPrice { total_us, timings }
+        })
     }
 
     /// [`ExecutionPlan::time`], reporting each step to `observer` as it

@@ -26,10 +26,6 @@ pub struct ServeConfig {
     /// still queued past their deadline are shed at batch-formation time
     /// ([`crate::Outcome::DeadlineExceeded`]) rather than executed late.
     pub default_deadline: Option<Duration>,
-    /// Execute batches functionally (`CompiledModel::run_batched`) when
-    /// the model's parameters are materialized. Timing-only models (the
-    /// shapes-only zoo CNNs) are always priced on the simulator only.
-    pub functional: bool,
     /// Batch-bucket sizes to compile engines for. `None` selects powers
     /// of two up to [`ServeConfig::max_batch`] (always including
     /// `max_batch` itself); a formed batch runs on the smallest bucket
@@ -50,7 +46,6 @@ impl Default for ServeConfig {
             batch_timeout: Duration::from_millis(2),
             queue_capacity: 256,
             default_deadline: None,
-            functional: true,
             batch_buckets: None,
             online: None,
         }

@@ -75,12 +75,12 @@
 //! prefill's "first token" is genuinely new output); the recompute cost
 //! is visible in [`LlmStats::recompute_tokens`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bolt::{BoltConfig, BoltError, KvArena, KvSpec};
+use bolt::{BoltConfig, BoltError, KvArena, KvSpec, KvWorkspace};
 use bolt_gpu_sim::GpuArch;
 use bolt_models::llm::{
     lm_head_graph, lm_head_name, post_graph, post_name, qkv_graph, qkv_name, DecoderModel,
@@ -88,14 +88,11 @@ use bolt_models::llm::{
 use bolt_models::llm_by_name;
 use bolt_tensor::{DType, Tensor};
 
+use crate::launch::launch;
 use crate::metrics::{KvGovernorSnapshot, Metrics, MetricsSnapshot};
 use crate::online::{OnlineConfig, OnlineEngineManager};
 use crate::registry::{EngineRegistry, ModelEngines};
 use crate::{Result, ServeError};
-
-/// Memoized engine prices the batcher keeps (same bound as the server's
-/// per-worker price cache).
-const PRICE_CACHE_CAP: usize = 64;
 
 /// How the batcher re-forms batches across decode steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,7 +166,8 @@ pub struct StepReport {
     pub live: usize,
     /// Queued sequences after the step.
     pub queued: usize,
-    /// Simulated time the step consumed, µs.
+    /// Simulated time the step consumed, µs: its launches' prices
+    /// summed (the clock advances by exactly this much).
     pub sim_us: f64,
 }
 
@@ -281,12 +279,6 @@ struct Slot {
     done: Option<FinishReason>,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Priced {
-    us: f64,
-    flops: f64,
-}
-
 /// Per-attempt launch accounting, folded into the batcher only at the
 /// step's commit point (so a retried attempt charges nothing twice —
 /// except wall-clock the retry really spent, tracked separately).
@@ -306,25 +298,27 @@ struct StagedStep {
     launches: StagedLaunches,
 }
 
-/// The GEMM-execution side of the batcher, split out so decode can
-/// borrow it mutably while iterating slots.
+/// The GEMM side of the batcher — the decoder's sub-model engines and
+/// the online manager placing them — split out so the layer stack can
+/// borrow it while attention mutates slots.
 struct ExecCtx {
     registry: Arc<EngineRegistry>,
     online: OnlineEngineManager,
-    handles: HashMap<String, Arc<ModelEngines>>,
-    prices: HashMap<usize, Priced>,
+    /// Per-layer fused-QKV and post+FFN sub-models.
+    qkv: Vec<Arc<ModelEngines>>,
+    post: Vec<Arc<ModelEngines>>,
+    lm_head: Arc<ModelEngines>,
 }
 
 impl ExecCtx {
     /// Runs one sub-model over `m` ragged rows (one sample per row,
-    /// `cols` holding each input's rows), placing the batch through the
-    /// online manager — bucket-padded, split on overflow — and returns
-    /// the output rows. `real_rows` of the `m` are genuinely live (the
-    /// rest are resident padding in static-cohort mode); accounting
-    /// charges pad rows to `staged.launched_flops` only.
+    /// `cols` holding each input's rows) through the shared launch path
+    /// and returns the output rows. `real_rows` of the `m` are genuinely
+    /// live (the rest are resident padding in static-cohort mode);
+    /// accounting charges pad rows to `staged.launched_flops` only.
     fn run_rows(
-        &mut self,
-        name: &str,
+        &self,
+        engines: &Arc<ModelEngines>,
         cols: &[&[Vec<f32>]],
         real_rows: usize,
         staged: &mut StagedLaunches,
@@ -334,22 +328,6 @@ impl ExecCtx {
         if m == 0 {
             return Ok(Vec::new());
         }
-        let engines = self
-            .handles
-            .get(name)
-            .cloned()
-            .ok_or_else(|| ServeError::UnknownModel { name: name.into() })?;
-        let placed = self.online.acquire(&engines, m)?;
-        let bucket = placed.bucket.max(1);
-        let key = Arc::as_ptr(&placed.engine) as usize;
-        if self.prices.len() >= PRICE_CACHE_CAP && !self.prices.contains_key(&key) {
-            self.prices.clear();
-        }
-        let priced = *self.prices.entry(key).or_insert_with(|| Priced {
-            us: placed.engine.time().total_us,
-            flops: placed.engine.flops(),
-        });
-
         let samples: Vec<Vec<Tensor>> = (0..m)
             .map(|i| {
                 cols.iter()
@@ -361,37 +339,79 @@ impl ExecCtx {
                     .collect()
             })
             .collect();
-        let mut rows = Vec::with_capacity(m);
-        let mut launches = 0u64;
-        for chunk in samples.chunks(bucket) {
-            let outs = placed.engine.run_batched(chunk)?;
-            for mut out in outs {
-                rows.push(out.swap_remove(0).data().to_vec());
-            }
-            launches += 1;
-        }
-        staged.real_flops += priced.flops * real_rows as f64 / bucket as f64;
-        staged.launched_flops += priced.flops * launches as f64;
-        staged.sim_us += priced.us * launches as f64;
+        let launched = launch(Some(&self.online), engines, &samples, real_rows)?;
+        let outputs = launched.outputs.ok_or_else(|| ServeError::NoEngine {
+            model: engines.name().to_string(),
+            reason: "sub-model parameters are not materialized".into(),
+        })?;
+        let launches = launched.placed.launches as u64;
+        staged.real_flops += launched.real_flops;
+        staged.launched_flops += launched.launched_flops;
+        staged.sim_us += launched.sim_us;
         staged.launches += launches;
-        if placed.fallback {
+        if launched.placed.fallback {
             staged.fallback_launches += launches;
         }
-        Ok(rows)
+        Ok(outputs
+            .into_iter()
+            .map(|mut out| out.swap_remove(0).data().to_vec())
+            .collect())
+    }
+
+    /// The decoder layer stack shared by prefill and decode: every layer
+    /// runs the fused QKV GEMM over all rows, host attention per row
+    /// through `attend(layer, row, qkv_row)` (which writes the row's K/V
+    /// into its sequence's KV), and the post+FFN GEMM; the LM head then
+    /// runs over every row, or only the last one when `last_only` (a
+    /// prefill needs just the final position's logits). `real_rows` of
+    /// the rows are live.
+    fn forward(
+        &self,
+        mut x: Vec<Vec<f32>>,
+        real_rows: usize,
+        last_only: bool,
+        staged: &mut StagedLaunches,
+        mut attend: impl FnMut(usize, usize, &[f32]) -> Result<Vec<f32>>,
+    ) -> Result<Vec<Vec<f32>>> {
+        for (layer, (qkv, post)) in self.qkv.iter().zip(&self.post).enumerate() {
+            let attn = self
+                .run_rows(qkv, &[&x], real_rows, staged)?
+                .iter()
+                .enumerate()
+                .map(|(row, qkv_row)| attend(layer, row, qkv_row))
+                .collect::<Result<Vec<_>>>()?;
+            x = self.run_rows(post, &[&attn, &x], real_rows, staged)?;
+        }
+        let (head, head_rows) = if last_only {
+            (x.split_off(x.len() - 1), 1)
+        } else {
+            (x, real_rows)
+        };
+        self.run_rows(&self.lm_head, &[&head], head_rows, staged)
     }
 }
 
-/// Registry names of the model's compilable sub-models.
-struct SubModelNames {
-    qkv: Vec<String>,
-    post: Vec<String>,
-    lm_head: String,
+/// Host attention for one position: writes the position's K/V (split
+/// from its fused QKV row) into `kv` at `pos`, then attends the query
+/// over positions `0..=pos`.
+fn attend_at(
+    model: &DecoderModel,
+    kv: &mut KvWorkspace,
+    layer: usize,
+    pos: usize,
+    qkv_row: &[f32],
+) -> Result<Vec<f32>> {
+    let (q, rest) = qkv_row.split_at(model.spec().hidden);
+    let (k, v) = rest.split_at(model.spec().hidden);
+    kv.write_row(layer, pos, k, v)?;
+    let keys = kv.key_chunks(layer, pos + 1)?;
+    let values = kv.value_chunks(layer, pos + 1)?;
+    Ok(model.attention(q, &keys, &values, pos + 1))
 }
 
 /// The continuous-batching LLM scheduler (see module docs).
 pub struct ContinuousBatcher {
     model: DecoderModel,
-    names: SubModelNames,
     exec: ExecCtx,
     arena: KvArena,
     mode: BatchMode,
@@ -407,6 +427,9 @@ pub struct ContinuousBatcher {
     metrics: Metrics,
     stats: LlmStats,
     sim_now_us: f64,
+    /// Simulated time charged by the current step, µs: its launches'
+    /// own prices summed, independent of the clock's absolute value.
+    step_sim_us: f64,
     next_id: u64,
 }
 
@@ -451,28 +474,18 @@ impl ContinuousBatcher {
         }
         let registry = Arc::new(EngineRegistry::new(arch, bolt_config));
         let salt = config.salt;
-        let mut names = SubModelNames {
-            qkv: Vec::with_capacity(spec.layers),
-            post: Vec::with_capacity(spec.layers),
-            lm_head: lm_head_name(&config.model),
-        };
-        let mut handles = HashMap::new();
+        let mut qkv = Vec::with_capacity(spec.layers);
+        let mut post = Vec::with_capacity(spec.layers);
         for layer in 0..spec.layers {
             let name = qkv_name(&config.model, layer);
-            let h = registry
-                .register_dynamic(&name, move |rows| qkv_graph(&spec, salt, layer, rows))?;
-            handles.insert(name.clone(), h);
-            names.qkv.push(name);
-
+            qkv.push(registry.register_dynamic(&name, move |m| qkv_graph(&spec, salt, layer, m))?);
             let name = post_name(&config.model, layer);
-            let h = registry
-                .register_dynamic(&name, move |rows| post_graph(&spec, salt, layer, rows))?;
-            handles.insert(name.clone(), h);
-            names.post.push(name);
+            post.push(
+                registry.register_dynamic(&name, move |m| post_graph(&spec, salt, layer, m))?,
+            );
         }
-        let h = registry
-            .register_dynamic(&names.lm_head, move |rows| lm_head_graph(&spec, salt, rows))?;
-        handles.insert(names.lm_head.clone(), h);
+        let name = lm_head_name(&config.model);
+        let lm_head = registry.register_dynamic(&name, move |m| lm_head_graph(&spec, salt, m))?;
 
         let online = OnlineEngineManager::new(Arc::clone(&registry), config.online.clone());
         let kv_spec = KvSpec {
@@ -496,12 +509,12 @@ impl ContinuousBatcher {
         }
         Ok(ContinuousBatcher {
             model: DecoderModel::new(spec, salt),
-            names,
             exec: ExecCtx {
                 registry,
                 online,
-                handles,
-                prices: HashMap::new(),
+                qkv,
+                post,
+                lm_head,
             },
             arena: KvArena::new(kv_spec, budget),
             mode: config.mode,
@@ -514,6 +527,7 @@ impl ContinuousBatcher {
             metrics: Metrics::default(),
             stats: LlmStats::default(),
             sim_now_us: 0.0,
+            step_sim_us: 0.0,
             next_id: 0,
         })
     }
@@ -528,7 +542,7 @@ impl ContinuousBatcher {
     pub fn submit(&mut self, request: SequenceRequest) -> Result<u64> {
         self.metrics.submitted();
         let spec = self.model.spec();
-        let model = self.names.lm_head.clone();
+        let model = self.exec.lm_head.name().to_string();
         let reject = |reason: String| ServeError::InvalidInput {
             model: model.clone(),
             reason,
@@ -576,7 +590,7 @@ impl ContinuousBatcher {
     /// A mid-step worker kill (chaos) retries the decode attempt; the
     /// commit discipline makes the retry exactly-once.
     pub fn step(&mut self) -> StepReport {
-        let sim_before = self.sim_now_us;
+        self.step_sim_us = 0.0;
         self.poll_pressure();
         let admitted = self.admit();
         // Sequences already finished at prefill (max_new_tokens == 1, or
@@ -596,8 +610,8 @@ impl ContinuousBatcher {
                         // invisible, no token was appended — retry.
                         self.stats.step_retries += 1;
                     }
-                    Ok(Err(e)) => {
-                        self.fail_all_live(&e.to_string());
+                    Ok(Err(_)) => {
+                        self.fail_all_live();
                         break;
                     }
                     Ok(Ok(staged)) => {
@@ -621,7 +635,7 @@ impl ContinuousBatcher {
             retired,
             live: self.slots.len(),
             queued: self.queue.len(),
-            sim_us: self.sim_now_us - sim_before,
+            sim_us: self.step_sim_us,
         }
     }
 
@@ -875,14 +889,13 @@ impl ContinuousBatcher {
                     self.queue.push_front(pending);
                     break;
                 }
-                Err(e) => {
+                Err(_) => {
                     self.metrics.rejected_execution();
                     self.finished.push(Self::queue_result(
                         &pending,
                         self.sim_now_us,
                         FinishReason::Failed,
                     ));
-                    let _ = e;
                 }
             }
         }
@@ -898,39 +911,22 @@ impl ContinuousBatcher {
     /// generated tokens, so this same path rebuilds the victim's KV
     /// state bit for bit.
     fn prefill(&mut self, pending: &Pending) -> Result<Slot> {
-        let spec = *self.model.spec();
         let n = pending.prompt.len();
         let mut staged = StagedLaunches::default();
         let mut kv = self.arena.lease();
-        let mut x: Vec<Vec<f32>> = pending
+        let x: Vec<Vec<f32>> = pending
             .prompt
             .iter()
             .map(|&t| self.model.embed_token(t).to_vec())
             .collect();
         let result = (|| -> Result<u32> {
             self.arena.reserve(&mut kv, n)?;
-            for layer in 0..spec.layers {
-                let qkv = self
-                    .exec
-                    .run_rows(&self.names.qkv[layer], &[&x], n, &mut staged)?;
-                let mut attn = Vec::with_capacity(n);
-                for (t, row) in qkv.iter().enumerate() {
-                    let (q, rest) = row.split_at(spec.hidden);
-                    let (k, v) = rest.split_at(spec.hidden);
-                    kv.write_row(layer, t, k, v)?;
-                    let keys = kv.key_chunks(layer, t + 1)?;
-                    let values = kv.value_chunks(layer, t + 1)?;
-                    attn.push(self.model.attention(q, &keys, &values, t + 1));
-                }
-                x = self
-                    .exec
-                    .run_rows(&self.names.post[layer], &[&attn, &x], n, &mut staged)?;
-            }
-            // Only the last position's logits matter for the first token.
-            let last = vec![x.pop().expect("non-empty prompt")];
+            let model = &self.model;
             let logits = self
                 .exec
-                .run_rows(&self.names.lm_head, &[&last], 1, &mut staged)?;
+                .forward(x, n, true, &mut staged, |layer, t, qkv_row| {
+                    attend_at(model, &mut kv, layer, t, qkv_row)
+                })?;
             kv.commit(n)?;
             Ok(self.model.argmax(&logits[0]))
         })();
@@ -966,11 +962,11 @@ impl ContinuousBatcher {
     /// retry after a mid-step panic.
     fn decode_once(&mut self) -> Result<StagedStep> {
         bolt::faults::panic_if_scheduled(bolt::faults::FaultSite::WorkerKill);
-        let spec = *self.model.spec();
+        let hidden = self.model.spec().hidden;
         let mut staged = StagedLaunches::default();
         let live: Vec<bool> = self.slots.iter().map(|s| s.done.is_none()).collect();
         let real_rows = live.iter().filter(|&&l| l).count();
-        let mut x: Vec<Vec<f32>> = self
+        let x: Vec<Vec<f32>> = self
             .slots
             .iter()
             .map(|s| {
@@ -979,33 +975,17 @@ impl ContinuousBatcher {
                     .to_vec()
             })
             .collect();
-        for layer in 0..spec.layers {
-            let qkv = self
-                .exec
-                .run_rows(&self.names.qkv[layer], &[&x], real_rows, &mut staged)?;
-            let mut attn = vec![vec![0.0f32; spec.hidden]; x.len()];
-            for (i, slot) in self.slots.iter_mut().enumerate() {
-                if !live[i] {
-                    continue; // dead cohort rows are pure padding
-                }
-                let (q, rest) = qkv[i].split_at(spec.hidden);
-                let (k, v) = rest.split_at(spec.hidden);
-                let pos = slot.kv.len();
-                slot.kv.write_row(layer, pos, k, v)?;
-                let keys = slot.kv.key_chunks(layer, pos + 1)?;
-                let values = slot.kv.value_chunks(layer, pos + 1)?;
-                attn[i] = self.model.attention(q, &keys, &values, pos + 1);
-            }
-            x = self.exec.run_rows(
-                &self.names.post[layer],
-                &[&attn, &x],
-                real_rows,
-                &mut staged,
-            )?;
-        }
+        let (model, slots) = (&self.model, &mut self.slots);
         let logits = self
             .exec
-            .run_rows(&self.names.lm_head, &[&x], real_rows, &mut staged)?;
+            .forward(x, real_rows, false, &mut staged, |layer, i, qkv_row| {
+                if !live[i] {
+                    return Ok(vec![0.0; hidden]); // dead cohort rows are pure padding
+                }
+                let kv = &mut slots[i].kv;
+                let pos = kv.len();
+                attend_at(model, kv, layer, pos, qkv_row)
+            })?;
         let tokens = live
             .iter()
             .enumerate()
@@ -1030,20 +1010,15 @@ impl ContinuousBatcher {
             slot.tokens.push(token);
             self.stats.generated_tokens += 1;
         }
-        let sim_us = staged.launches.sim_us;
+        self.metrics.batch(live, staged.launches.sim_us);
         self.charge(staged.launches);
         self.stats.steps += 1;
-        let tokens_per_sec = if sim_us > 0.0 {
-            live as f64 * 1e6 / sim_us
-        } else {
-            0.0
-        };
-        self.metrics.batch(live, tokens_per_sec);
     }
 
     /// Folds one attempt's launch accounting into the clock and metrics.
     fn charge(&mut self, launches: StagedLaunches) {
         self.sim_now_us += launches.sim_us;
+        self.step_sim_us += launches.sim_us;
         self.stats.sim_us = self.sim_now_us;
         self.stats.launches += launches.launches;
         self.stats.fallback_launches += launches.fallback_launches;
@@ -1053,7 +1028,7 @@ impl ContinuousBatcher {
 
     /// A failed decode attempt fails every live sequence (partial tokens
     /// stand); cohort padding rows retire with their original reason.
-    fn fail_all_live(&mut self, _reason: &str) {
+    fn fail_all_live(&mut self) {
         for slot in &mut self.slots {
             if slot.done.is_none() {
                 slot.done = Some(FinishReason::Failed);

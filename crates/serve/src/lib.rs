@@ -55,6 +55,7 @@
 pub mod config;
 pub mod continuous;
 pub mod error;
+mod launch;
 pub mod metrics;
 pub mod online;
 pub mod registry;
@@ -73,7 +74,7 @@ pub use metrics::{KernelStat, KvGovernorSnapshot, LoadGauges, MetricsSnapshot};
 pub use online::{
     Acquired, EngineState, FailedBucket, OnlineConfig, OnlineEngineManager, OnlineSnapshot,
 };
-pub use registry::{EngineRegistry, ModelEngines, Placement};
+pub use registry::{EngineRegistry, ModelEngines};
 pub use request::{InferResponse, LatencyBreakdown, Outcome, RequestHandle};
 pub use server::BoltServer;
 

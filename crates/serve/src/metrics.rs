@@ -48,7 +48,10 @@ struct Inner {
     /// Ring of the last [`RECENT_WINDOW`] completion latencies.
     recent_latencies_us: VecDeque<f64>,
     batch_sizes: BTreeMap<usize, u64>,
-    images_per_sec: Vec<f64>,
+    /// Running sum and count of per-batch simulated throughput, for
+    /// [`MetricsSnapshot::sim_images_per_sec`].
+    images_per_sec_sum: f64,
+    images_per_sec_count: u64,
     /// FLOPs spent on real request rows across every launch.
     real_flops: f64,
     /// FLOPs the launches actually issued (bucket-sized, pad rows
@@ -175,13 +178,19 @@ impl Metrics {
         inner.launched_flops += launched.max(0.0);
     }
 
-    /// Records one dispatched batch: `size` real requests, achieved
-    /// simulated throughput from `TimingReport::images_per_sec`.
-    pub(crate) fn batch(&self, size: usize, images_per_sec: f64) {
+    /// Records one dispatched batch: `size` real requests (or tokens)
+    /// served in `sim_us` of simulated kernel time.
+    pub(crate) fn batch(&self, size: usize, sim_us: f64) {
+        let images_per_sec = if sim_us > 0.0 {
+            size as f64 * 1e6 / sim_us
+        } else {
+            0.0
+        };
         let mut inner = self.inner.lock();
         inner.batches += 1;
         *inner.batch_sizes.entry(size).or_insert(0) += 1;
-        inner.images_per_sec.push(images_per_sec);
+        inner.images_per_sec_sum += images_per_sec;
+        inner.images_per_sec_count += 1;
     }
 
     pub(crate) fn completed(&self, latency_us: f64) {
@@ -225,10 +234,10 @@ impl Metrics {
         } else {
             0.0
         };
-        let mean_images_per_sec = if inner.images_per_sec.is_empty() {
+        let mean_images_per_sec = if inner.images_per_sec_count == 0 {
             0.0
         } else {
-            inner.images_per_sec.iter().sum::<f64>() / inner.images_per_sec.len() as f64
+            inner.images_per_sec_sum / inner.images_per_sec_count as f64
         };
         let mut kernel_stats: Vec<KernelStat> = inner
             .kernel_us

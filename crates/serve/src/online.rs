@@ -131,7 +131,9 @@ impl Default for Breaker {
     }
 }
 
-/// How the manager placed one batch.
+/// Where one batch runs: which bucket, on which engine, in how many
+/// launches — from [`OnlineEngineManager::acquire`] or
+/// [`ModelEngines::placement_for`].
 #[derive(Debug, Clone)]
 pub struct Acquired {
     /// The bucket the batch executes on.
@@ -492,11 +494,9 @@ impl OnlineEngineManager {
             };
             self.count_fallback(batch, degraded);
             return Ok(Acquired {
-                bucket: placement.bucket,
-                engine: placement.engine,
-                launches: placement.launches,
                 fallback: true,
                 degraded,
+                ..placement
             });
         }
 

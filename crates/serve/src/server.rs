@@ -1,19 +1,18 @@
 //! The serving front-end: admission control, the batcher thread, and the
 //! worker pool of simulated GPU streams.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bolt::{ExecutionPlan, StepTimings};
 use bolt_tensor::Tensor;
 
 use crate::config::ServeConfig;
 use crate::error::ServeError;
+use crate::launch::{launch, Launch};
 use crate::metrics::{LoadGauges, Metrics, MetricsSnapshot};
-use crate::online::{Acquired, OnlineEngineManager};
+use crate::online::OnlineEngineManager;
 use crate::registry::EngineRegistry;
 use crate::request::{
     InferResponse, LatencyBreakdown, Outcome, QueuedRequest, RequestHandle, ResponseSlot,
@@ -357,24 +356,14 @@ fn batcher_loop(inner: &Inner, tx: &mpsc::SyncSender<BatchJob>) {
                     // Abort drain: terminate queued work fast instead of
                     // executing it. Exactly-once still holds — each
                     // request resolves, as a rejection.
-                    for request in job.requests {
-                        inner.metrics.rejected_execution();
-                        request.slot.try_resolve(Outcome::Rejected {
-                            reason: "server aborted".into(),
-                        });
-                    }
+                    reject_all(inner, job.requests, "server aborted");
                     continue;
                 }
                 if let Err(mpsc::SendError(job)) = tx.send(job) {
                     // The worker pool is gone (every receiver dropped).
                     // Admission promised a terminal outcome: reject each
                     // request rather than silently dropping the batch.
-                    for request in job.requests {
-                        inner.metrics.rejected_execution();
-                        request.slot.try_resolve(Outcome::Rejected {
-                            reason: "worker pool unavailable".into(),
-                        });
-                    }
+                    reject_all(inner, job.requests, "worker pool unavailable");
                 }
             }
             sched = inner.sched.lock().unwrap_or_else(|e| e.into_inner());
@@ -393,30 +382,12 @@ fn batcher_loop(inner: &Inner, tx: &mpsc::SyncSender<BatchJob>) {
     }
 }
 
-/// One memoized simulator pricing of an engine. The map key is the
-/// engine's `Arc` address; holding the `Arc` here pins that address so
-/// it cannot be recycled by a later allocation while the entry lives.
-struct PricedEngine {
-    engine: Arc<ExecutionPlan>,
-    total_us: f64,
-    timings: StepTimings,
-}
-
-/// Per-worker price-cache bound: far above any realistic live engine
-/// count, but keeps a hot-swapping online server from growing the map
-/// without limit.
-const PRICE_CACHE_CAP: usize = 64;
-
 fn worker_loop(inner: &Inner, rx: &Mutex<mpsc::Receiver<BatchJob>>) {
     // This worker's simulated stream: absolute µs (server timeline) until
     // which the stream is busy. Batches dispatched to the same stream
     // queue behind each other, exactly like kernels on a CUDA stream.
     // (Reset on a supervisor restart: a crashed stream loses its backlog.)
     let mut busy_until_us = 0.0f64;
-    // Simulator pricing is a pure function of the engine, so each worker
-    // prices an engine once and reuses the result — at high offered load
-    // the per-batch pricing walk would otherwise dominate real CPU time.
-    let mut price_cache: HashMap<usize, PricedEngine> = HashMap::new();
     loop {
         // Chaos: a worker thread may die *between* batches — it holds no
         // job here, so nothing is lost; the supervisor respawns it.
@@ -433,7 +404,7 @@ fn worker_loop(inner: &Inner, rx: &Mutex<mpsc::Receiver<BatchJob>>) {
                 // job as it resolves them, so whatever remains after a
                 // panic is exactly the unresolved set.
                 let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    execute_batch(inner, &mut job, &mut busy_until_us, &mut price_cache)
+                    execute_batch(inner, &mut job, &mut busy_until_us)
                 }));
                 if let Err(payload) = run {
                     inner.metrics.worker_panic();
@@ -442,13 +413,7 @@ fn worker_loop(inner: &Inner, rx: &Mutex<mpsc::Receiver<BatchJob>>) {
                         message: crate::panic_message(&payload),
                     }
                     .to_string();
-                    for request in job.requests.drain(..) {
-                        if request.slot.try_resolve(Outcome::Rejected {
-                            reason: reason.clone(),
-                        }) {
-                            inner.metrics.rejected_execution();
-                        }
-                    }
+                    reject_all(inner, job.requests.drain(..), &reason);
                 }
             }
             Err(_) => return, // channel closed: server drained
@@ -456,12 +421,18 @@ fn worker_loop(inner: &Inner, rx: &Mutex<mpsc::Receiver<BatchJob>>) {
     }
 }
 
-fn execute_batch(
-    inner: &Inner,
-    job: &mut BatchJob,
-    busy_until_us: &mut f64,
-    price_cache: &mut HashMap<usize, PricedEngine>,
-) {
+/// Resolves each still-pending request as [`Outcome::Rejected`] with
+/// `reason`, counting every one this call resolved.
+fn reject_all(inner: &Inner, requests: impl IntoIterator<Item = QueuedRequest>, reason: &str) {
+    for request in requests {
+        let reason = reason.to_string();
+        if request.slot.try_resolve(Outcome::Rejected { reason }) {
+            inner.metrics.rejected_execution();
+        }
+    }
+}
+
+fn execute_batch(inner: &Inner, job: &mut BatchJob, busy_until_us: &mut f64) {
     // Deadline enforcement at dequeue time: formation-time shedding
     // cannot see time spent *after* the batch formed — waiting in the
     // hand-off channel behind a slow batch. A request whose deadline has
@@ -483,38 +454,27 @@ fn execute_batch(
     if batch == 0 {
         return;
     }
-    // Place the batch: through the online manager (fallback + background
-    // tune) when configured, else directly on the precompiled buckets.
-    let placed = match &inner.online {
-        Some(manager) => manager.acquire(&job.model, batch),
-        None => job
-            .model
-            .placement_for(batch)
-            .map(|p| Acquired {
-                bucket: p.bucket,
-                engine: p.engine,
-                launches: p.launches,
-                fallback: false,
-                degraded: false,
-            })
-            .ok_or_else(|| ServeError::NoEngine {
-                model: job.model.name().to_string(),
-                reason: "model has no compiled buckets".into(),
-            }),
-    };
-    let placed = match placed {
-        Ok(placed) => placed,
+    // Place, run (bucket-sized chunks per launch, when the model is
+    // functional) and price the batch. The inputs are moved out: a
+    // request no longer needs them once its batch runs.
+    let samples: Vec<Vec<Tensor>> = job
+        .requests
+        .iter_mut()
+        .map(|r| std::mem::take(&mut r.inputs))
+        .collect();
+    let Launch {
+        placed,
+        sim_us: kernel_us,
+        real_flops,
+        launched_flops,
+        mut outputs,
+    } = match launch(inner.online.as_ref(), &job.model, &samples, batch) {
+        Ok(launched) => launched,
         Err(e) => {
-            // Admission guarantees a terminal outcome; an unplaceable
-            // batch (e.g. the heuristic fallback compile failed) rejects
-            // every request in it.
-            let reason = e.to_string();
-            for request in job.requests.drain(..) {
-                inner.metrics.rejected_execution();
-                request.slot.resolve(Outcome::Rejected {
-                    reason: reason.clone(),
-                });
-            }
+            // Admission guarantees a terminal outcome; an unplaceable or
+            // failed batch (e.g. the heuristic fallback compile failed)
+            // rejects every request in it.
+            reject_all(inner, job.requests.drain(..), &e.to_string());
             return;
         }
     };
@@ -524,69 +484,25 @@ fn execute_batch(
 
     // Chaos: a slow batch (stalls this stream, so later batches queue
     // behind it and may hit their deadlines at dequeue), then a mid-batch
-    // panic (isolated by the worker's per-batch catch_unwind above).
+    // panic before any result is published (isolated by the worker's
+    // per-batch catch_unwind above).
     bolt::faults::stall(bolt::faults::FaultSite::BatchStall);
     bolt::faults::panic_if_scheduled(bolt::faults::FaultSite::BatchPanic);
 
-    // Price the bucket's kernel timeline on the simulator; the real batch
-    // of `batch` requests rides the bucket-sized launch (repeated when
-    // the batch was split). The step observer attributes the batch's
-    // latency per kernel, once per launch — with each launch's compute
-    // scaled by its occupancy, so the zero-padded tail rows of a partial
-    // final launch are not priced as real per-kernel work. Pricing is a
-    // pure function of the engine, so it is memoized per worker.
-    let key = Arc::as_ptr(&placed.engine) as usize;
-    if price_cache.len() >= PRICE_CACHE_CAP && !price_cache.contains_key(&key) {
-        price_cache.clear();
-    }
-    let priced = price_cache.entry(key).or_insert_with(|| {
-        let mut timings = StepTimings::default();
-        let report = placed.engine.time_observed(&mut timings);
-        PricedEngine {
-            engine: Arc::clone(&placed.engine),
-            total_us: report.total_us,
-            timings,
-        }
-    });
-    debug_assert!(Arc::ptr_eq(&priced.engine, &placed.engine));
-    let kernel_us = priced.total_us * placed.launches as f64;
-    let images_per_sec = if kernel_us > 0.0 {
-        batch as f64 * 1e6 / kernel_us
-    } else {
-        0.0
-    };
-    inner.metrics.batch(batch, images_per_sec);
+    // The real batch of `batch` requests rode the bucket-sized launch
+    // (repeated when the batch was split). The step observer attributes
+    // the batch's latency per kernel, once per launch — with each
+    // launch's compute scaled by its occupancy, so the zero-padded tail
+    // rows of a partial final launch are not priced as real work.
+    inner.metrics.batch(batch, kernel_us);
+    inner.metrics.launch_flops(real_flops, launched_flops);
     let bucket = placed.bucket.max(1);
-    let plan_flops = placed.engine.flops();
+    let timings = &placed.engine.price().timings;
     for launch in 0..placed.launches {
         let rows = (batch - launch * bucket).min(bucket);
         inner
             .metrics
-            .launch_flops(plan_flops * rows as f64 / bucket as f64, plan_flops);
-        inner
-            .metrics
-            .kernel_times(&priced.timings.scaled_occupancy(rows, bucket));
-    }
-
-    // Really compute the batch when the model allows it, bucket-sized
-    // chunks per launch.
-    let mut failure: Option<String> = None;
-    let mut outputs: Option<Vec<Vec<Tensor>>> = None;
-    if inner.config.functional && job.model.functional() {
-        let samples: Vec<Vec<Tensor>> = job.requests.iter().map(|r| r.inputs.clone()).collect();
-        let mut per_sample = Vec::with_capacity(batch);
-        for chunk in samples.chunks(placed.bucket.max(1)) {
-            match placed.engine.run_batched(chunk) {
-                Ok(outs) => per_sample.extend(outs),
-                Err(e) => {
-                    failure = Some(e.to_string());
-                    break;
-                }
-            }
-        }
-        if failure.is_none() {
-            outputs = Some(per_sample);
-        }
+            .kernel_times(&timings.scaled_occupancy(rows, bucket));
     }
 
     // Advance this stream's simulated timeline and settle per-request
@@ -598,34 +514,24 @@ fn execute_batch(
     *busy_until_us = done_us;
 
     for (index, request) in job.requests.drain(..).enumerate() {
-        match &failure {
-            Some(reason) => {
-                inner.metrics.rejected_execution();
-                request.slot.resolve(Outcome::Rejected {
-                    reason: reason.clone(),
-                });
-            }
-            None => {
-                let latency = LatencyBreakdown {
-                    queue_us: start_us - request.submitted_us,
-                    kernel_us,
-                    total_us: done_us - request.submitted_us,
-                };
-                inner.metrics.completed(latency.total_us);
-                if placed.degraded {
-                    inner.metrics.degraded();
-                }
-                request.slot.resolve(Outcome::Completed(InferResponse {
-                    model: job.model.name().to_string(),
-                    outputs: outputs.as_mut().map(|o| std::mem::take(&mut o[index])),
-                    batch_size: batch,
-                    bucket: placed.bucket,
-                    launches: placed.launches,
-                    fallback: placed.fallback,
-                    degraded: placed.degraded,
-                    latency,
-                }));
-            }
+        let latency = LatencyBreakdown {
+            queue_us: start_us - request.submitted_us,
+            kernel_us,
+            total_us: done_us - request.submitted_us,
+        };
+        inner.metrics.completed(latency.total_us);
+        if placed.degraded {
+            inner.metrics.degraded();
         }
+        request.slot.resolve(Outcome::Completed(InferResponse {
+            model: job.model.name().to_string(),
+            outputs: outputs.as_mut().map(|o| std::mem::take(&mut o[index])),
+            batch_size: batch,
+            bucket: placed.bucket,
+            launches: placed.launches,
+            fallback: placed.fallback,
+            degraded: placed.degraded,
+            latency,
+        }));
     }
 }
