@@ -3,7 +3,6 @@
 //! streams), with a cluster-visible health state, placement-class
 //! membership, per-arch kernel-cost signals, and retire hooks.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -130,8 +129,8 @@ impl Health {
 /// The simulated kernel-cost signal the cost/SLO-aware router places
 /// by: what one request costs on *this* replica's architecture, priced
 /// from the compiled engines' `bolt-gpu-sim` timelines (no live
-/// measurement on the routing path — the costs are cached at first
-/// lookup).
+/// measurement on the routing path — each engine's price is memoized on
+/// its plan).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelCost {
     /// Simulated latency of a single-sample launch (the smallest
@@ -158,9 +157,6 @@ pub struct Replica {
     /// Simulated tuning wall-clock this replica's launch paid. Zero when
     /// it booted fully warm from a cache or packed bundle.
     tuning_seconds: f64,
-    /// Per-model kernel-cost cache for the router (engines are
-    /// immutable once compiled, so a priced cost never goes stale).
-    costs: RwLock<HashMap<String, KernelCost>>,
 }
 
 impl std::fmt::Debug for Replica {
@@ -218,7 +214,6 @@ impl Replica {
             server: RwLock::new(Some(server)),
             health: AtomicU8::new(Health::Healthy.as_u8()),
             tuning_seconds,
-            costs: RwLock::new(HashMap::new()),
         }))
     }
 
@@ -245,27 +240,23 @@ impl Replica {
         self.tuning_seconds
     }
 
-    /// The cached kernel-cost signal for `model` on this replica's
-    /// architecture, priced from the compiled engines on first lookup.
+    /// The kernel-cost signal for `model` on this replica's architecture,
+    /// priced from the buckets compiled right now ([`bolt::ExecutionPlan::price`]),
+    /// so online hot-swaps and evictions show up on the next lookup.
     /// `None` when the model is unknown here or has no compiled bucket
     /// yet (dynamic registration before first traffic).
     pub fn kernel_cost(&self, model: &str) -> Option<KernelCost> {
-        if let Some(cost) = self.costs.read().get(model) {
-            return Some(*cost);
-        }
         let engines = self.registry.get(model)?;
         let buckets = engines.bucket_sizes();
         let (&smallest, &largest) = (buckets.first()?, buckets.last()?);
-        let batch1_us = engines.engine_for(smallest)?.1.time().total_us;
+        let batch1_us = engines.engine_for(smallest)?.1.price().total_us;
         let (max_batch, big_engine) = engines.engine_for(largest)?;
-        let per_sample_us = big_engine.time().total_us / max_batch.max(1) as f64;
-        let cost = KernelCost {
+        let per_sample_us = big_engine.price().total_us / max_batch.max(1) as f64;
+        Some(KernelCost {
             batch1_us,
             per_sample_us,
             max_batch,
-        };
-        self.costs.write().insert(model.to_string(), cost);
-        Some(cost)
+        })
     }
 
     /// This replica's engine registry.

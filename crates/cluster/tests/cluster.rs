@@ -177,6 +177,26 @@ fn non_recoverable_rejections_fail_fast() {
 }
 
 #[test]
+fn kernel_cost_follows_bucket_removal() {
+    let cluster = cluster(1, PlacementPolicy::LeastLoaded, ServeConfig::default());
+    let replica = cluster.replicas().pop().expect("one replica");
+    let before = replica.kernel_cost("mlp-small").expect("priced");
+
+    // An eviction (or hot-swap) changes the model's buckets after the
+    // router has already priced it.
+    let engines = replica
+        .registry()
+        .remove_bucket("mlp-small", 1)
+        .expect("bucket 1 removed");
+    let (smallest, engine) = engines.engine_for(1).expect("a bucket remains");
+    assert_eq!(smallest, 2);
+    let after = replica.kernel_cost("mlp-small").expect("still priced");
+    assert_eq!(after.batch1_us, engine.price().total_us);
+    assert_ne!(after.batch1_us, before.batch1_us, "stale price");
+    cluster.shutdown();
+}
+
+#[test]
 fn abrupt_kill_rejects_queued_work_exactly_once() {
     let cluster = cluster(1, PlacementPolicy::LeastLoaded, holding_config(64));
     let id = cluster.replicas()[0].id();

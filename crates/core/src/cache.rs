@@ -12,7 +12,7 @@
 //! A plain-text, line-oriented format (no external serialization crates):
 //!
 //! ```text
-//! bolt-tune-cache v2 arch=<fnv1a-64 of the architecture description>
+//! bolt-tune-cache v2 arch=<fnv1a-64 of the architecture description> name=<arch name>
 //! gemm <problem> | <epilogue> | <winning config> <time-bits> <candidates>
 //! conv <problem> <dtype> | <epilogue> | <winning config> <time-bits> <candidates>
 //! checksum <fnv1a-64 of the entry lines> <entry count>
@@ -124,18 +124,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-fn header(arch: &GpuArch) -> String {
-    // The trailing `name=` token is advisory (diagnostics for `bolt-tune
-    // inspect`); readers key off the fingerprint and ignore unknown
-    // header tokens, so adding it did not bump the schema version.
-    format!(
-        "bolt-tune-cache v{} arch={:016x} name={}",
-        SCHEMA_VERSION,
-        arch_fingerprint(arch),
-        arch.name
-    )
-}
-
 fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
@@ -151,27 +139,7 @@ fn invalid(msg: impl Into<String>) -> io::Error {
 /// saves the cache after every background compile while other
 /// processes load it.
 pub(crate) fn save(profiler: &BoltProfiler, path: &Path) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let mut lines: Vec<String> = profiler
-        .entries()
-        .iter()
-        .map(|(key, kernel)| encode_entry(key, kernel))
-        .collect();
-    lines.sort_unstable();
-    let mut out = header(profiler.arch());
-    out.push('\n');
-    let mut body = String::new();
-    for line in &lines {
-        body.push_str(line);
-        body.push('\n');
-    }
-    out.push_str(&body);
-    out.push_str(&footer(&body, lines.len()));
-    out.push('\n');
+    let mut out = TuneShard::from_profiler(profiler).to_string_canonical();
 
     // Chaos: simulate a crash mid-write by truncating the staged bytes.
     // The checksum footer is what lets the next load catch this.
@@ -183,10 +151,15 @@ pub(crate) fn save(profiler: &BoltProfiler, path: &Path) -> io::Result<()> {
 }
 
 /// Stages `contents` in a uniquely-named sibling temp file and `rename`s
-/// it into place: readers and crashes never observe a torn file, and
-/// concurrent writers race benignly with the last complete rename
-/// winning.
+/// it into place, creating parent directories as needed: readers and
+/// crashes never observe a torn file, and concurrent writers race
+/// benignly with the last complete rename winning.
 fn atomic_write(path: &Path, contents: &str) -> io::Result<()> {
+    if let Some(parent) = path.parent() {
+        if !parent.as_os_str().is_empty() {
+            std::fs::create_dir_all(parent)?;
+        }
+    }
     // Unique per process *and* per call, so concurrent savers never
     // stage into the same temp file.
     static SAVE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -274,12 +247,11 @@ fn parse_header(head: &str) -> Result<CacheHeader, io::Error> {
     })
 }
 
-/// Walks the entry lines after a header, validating the `checksum`
-/// footer; any `Err` means structural corruption.
-fn parse_entry_block<'a>(
-    lines: impl Iterator<Item = &'a str>,
-) -> Result<Vec<(Key, ProfiledKernel)>, io::Error> {
-    let mut entries = Vec::new();
+/// Walks the non-empty lines after a header up to the `checksum` footer
+/// and validates the footer against them; any `Err` means structural
+/// corruption.
+fn checked_lines<'a>(lines: impl Iterator<Item = &'a str>) -> Result<Vec<&'a str>, io::Error> {
+    let mut kept = Vec::new();
     let mut body = String::new();
     let mut footer_line = None;
     for line in lines {
@@ -287,23 +259,33 @@ fn parse_entry_block<'a>(
             continue;
         }
         if footer_line.is_some() {
-            return Err(invalid("entries after checksum footer"));
+            return Err(invalid("lines after checksum footer"));
         }
         if line.starts_with("checksum ") {
             footer_line = Some(line);
             continue;
         }
-        let (key, kernel) = decode_entry(line)
-            .ok_or_else(|| invalid(format!("corrupt tune cache entry: {line:?}")))?;
         body.push_str(line);
         body.push('\n');
-        entries.push((key, kernel));
+        kept.push(line);
     }
     let footer_line = footer_line.ok_or_else(|| invalid("missing checksum footer (truncated?)"))?;
-    if footer_line != footer(&body, entries.len()) {
-        return Err(invalid("checksum footer does not match entries"));
+    if footer_line != footer(&body, kept.len()) {
+        return Err(invalid("checksum footer does not match contents"));
     }
-    Ok(entries)
+    Ok(kept)
+}
+
+/// Decodes the footer-checked entry lines after a single-shard header;
+/// any `Err` means structural corruption.
+fn parse_entry_block<'a>(
+    lines: impl Iterator<Item = &'a str>,
+) -> Result<Vec<(Key, ProfiledKernel)>, io::Error> {
+    checked_lines(lines)?.into_iter().map(decode_line).collect()
+}
+
+fn decode_line(line: &str) -> Result<(Key, ProfiledKernel), io::Error> {
+    decode_entry(line).ok_or_else(|| invalid(format!("corrupt tune entry: {line:?}")))
 }
 
 /// Validates `text` end to end; any `Err` means structural corruption.
@@ -451,26 +433,31 @@ impl TuneShard {
     /// pull one architecture back out of a packed bundle. The output is
     /// a regular v2 cache any profiler of the matching arch can load.
     pub fn write(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let mut canonical = self.clone();
-        canonical.sort();
+        atomic_write(path, &self.to_string_canonical())
+    }
+
+    /// Serializes the shard as a single-arch cache file: header, entry
+    /// lines in canonical order, `checksum` footer.
+    fn to_string_canonical(&self) -> String {
+        // The trailing `name=` token is advisory (diagnostics for
+        // `bolt-tune inspect`); readers key off the fingerprint and
+        // ignore unknown header tokens, so adding it did not bump the
+        // schema version.
         let mut out = format!(
             "bolt-tune-cache v{SCHEMA_VERSION} arch={:016x} name={}\n",
-            canonical.arch, canonical.name
+            self.arch, self.name
         );
+        let mut lines = self.encoded_lines();
+        lines.sort_unstable();
         let mut body = String::new();
-        for line in canonical.encoded_lines() {
-            body.push_str(&line);
+        for line in &lines {
+            body.push_str(line);
             body.push('\n');
         }
         out.push_str(&body);
-        out.push_str(&footer(&body, canonical.len()));
+        out.push_str(&footer(&body, lines.len()));
         out.push('\n');
-        atomic_write(path, &out)
+        out
     }
 
     /// Merges `other` into this shard, keeping the **faster winner** per
@@ -602,31 +589,7 @@ impl TuneBundle {
         }
 
         // Validate the global checksum before interpreting any section.
-        let mut body = String::new();
-        let mut count = 0usize;
-        let mut footer_line = None;
-        let mut section_lines = Vec::new();
-        for line in lines {
-            if line.trim().is_empty() {
-                continue;
-            }
-            if footer_line.is_some() {
-                return Err(invalid("lines after bundle checksum footer"));
-            }
-            if line.starts_with("checksum ") {
-                footer_line = Some(line);
-                continue;
-            }
-            body.push_str(line);
-            body.push('\n');
-            count += 1;
-            section_lines.push(line);
-        }
-        let footer_line =
-            footer_line.ok_or_else(|| invalid("missing bundle checksum footer (truncated?)"))?;
-        if footer_line != footer(&body, count) {
-            return Err(invalid("bundle checksum does not match contents"));
-        }
+        let section_lines = checked_lines(lines)?;
 
         let mut bundle = TuneBundle::new();
         let mut current: Option<(TuneShard, usize)> = None;
@@ -662,9 +625,7 @@ impl TuneBundle {
                 let (shard, _) = current
                     .as_mut()
                     .ok_or_else(|| invalid("entry line before any shard header"))?;
-                let (key, kernel) = decode_entry(line)
-                    .ok_or_else(|| invalid(format!("corrupt bundle entry: {line:?}")))?;
-                shard.entries.push((key, kernel));
+                shard.entries.push(decode_line(line)?);
             }
         }
         if let Some((shard, expected)) = current.take() {
@@ -722,11 +683,6 @@ impl TuneBundle {
     /// parent directories as needed. Deterministic: the same shards
     /// always produce byte-identical files.
     pub fn write(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
         atomic_write(path, &self.to_string_canonical())
     }
 }

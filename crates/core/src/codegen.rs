@@ -50,7 +50,6 @@ pub fn emit_model(model: &CompiledModel) -> String {
                     epilogue0: chain.stages[0].epilogue,
                     epilogue1: chain.stages[1].epilogue,
                     residence: chain.residence,
-                    parallel_m_rows: chain.parallel_m_rows,
                 };
                 out.push_str(&bolt_cutlass::emit::emit_b2b_gemm(&head, cc));
             }

@@ -39,8 +39,7 @@ impl BoltCompiler {
     /// [`crate::BoltError::CacheArchMismatch`]) via
     /// [`BoltProfiler::load_bundle`].
     pub fn new(arch: GpuArch, config: BoltConfig) -> Self {
-        let mut profiler = BoltProfiler::new(&arch, config.profiler_candidates);
-        profiler.set_pruning(config.candidate_pruning);
+        let profiler = BoltProfiler::new(&arch, config.profiler_candidates);
         let compiler = BoltCompiler {
             arch,
             config,

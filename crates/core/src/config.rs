@@ -27,21 +27,6 @@ pub struct BoltConfig {
     /// Run graph deployment passes (BN fold + RepVGG re-parameterization)
     /// before compilation.
     pub deployment_passes: bool,
-    /// Skip candidates whose analytic roofline lower bound already
-    /// exceeds the best measured time. Admissible — never changes the
-    /// selected winner, only the measurement count.
-    pub candidate_pruning: bool,
-    /// Collect every workload up front and fan measurements across worker
-    /// threads before lowering, instead of measuring inline node by node.
-    pub parallel_profiling: bool,
-    /// Minimum GEMM M extent before functional executors spread
-    /// threadblock M-stripes across host cores (dense, back-to-back and
-    /// persistent-chain kernels). Below the threshold execution stays
-    /// sequential, so decode-step skinny GEMMs (M = a handful of live
-    /// sequences) never pay thread spawn/join overhead; wide prefill
-    /// GEMMs above it still parallelize. Defaults to
-    /// `bolt_cutlass::PARALLEL_M_ROWS` (256).
-    pub parallel_m_rows: usize,
     /// On-disk autotune cache location. Loaded (if present and valid) at
     /// compiler construction and saved after every compile. When `None`,
     /// the `BOLT_TUNE_CACHE` environment variable is consulted instead;
@@ -57,10 +42,6 @@ pub struct BoltConfig {
     pub bundle_path: Option<PathBuf>,
 }
 
-fn default_parallel_m_rows() -> usize {
-    bolt_cutlass::PARALLEL_M_ROWS
-}
-
 impl Default for BoltConfig {
     fn default() -> Self {
         BoltConfig {
@@ -70,9 +51,6 @@ impl Default for BoltConfig {
             layout_transform_folding: true,
             profiler_candidates: 30,
             deployment_passes: true,
-            candidate_pruning: true,
-            parallel_profiling: true,
-            parallel_m_rows: default_parallel_m_rows(),
             cache_path: None,
             bundle_path: None,
         }
@@ -125,10 +103,8 @@ mod tests {
     fn defaults_enable_everything() {
         let c = BoltConfig::default();
         assert!(c.epilogue_fusion && c.persistent_kernels && c.kernel_padding);
-        assert!(c.candidate_pruning && c.parallel_profiling);
         assert!(c.cache_path.is_none());
         assert!(c.profiler_candidates >= 10 && c.profiler_candidates <= 100);
-        assert_eq!(c.parallel_m_rows, bolt_cutlass::PARALLEL_M_ROWS);
     }
 
     #[test]
@@ -137,9 +113,5 @@ mod tests {
         assert!(BoltConfig::epilogue_only().epilogue_fusion);
         let off = BoltConfig::no_optimizations();
         assert!(!off.epilogue_fusion && !off.kernel_padding);
-        assert!(
-            off.candidate_pruning,
-            "engine optimizations are not paper ablations"
-        );
     }
 }

@@ -287,9 +287,7 @@ pub(crate) fn lower(
     config: &BoltConfig,
     profiler: &BoltProfiler,
 ) -> Result<Vec<Step>> {
-    if config.parallel_profiling {
-        profiler.profile_batch(&collect_profile_tasks(graph, config));
-    }
+    profiler.profile_batch(&collect_profile_tasks(graph, config));
 
     let mut steps: Vec<Step> = Vec::new();
     let mut covered: HashSet<NodeId> = HashSet::new();
@@ -394,8 +392,7 @@ fn lower_dense(
             .ok_or_else(|| BoltError::NoKernel {
                 workload: problem.to_string(),
             })?;
-    let kernel = GemmKernel::new(problem, profiled.config, epilogue)
-        .with_parallel_m_rows(config.parallel_m_rows);
+    let kernel = GemmKernel::new(problem, profiled.config, epilogue);
 
     let mut inputs = vec![node.inputs[0]];
     if let Some(r) = absorbed.residual {
@@ -560,19 +557,12 @@ fn grow_chains(graph: &Graph, arch: &GpuArch, mut steps: Vec<Step>) -> Result<Ve
             let Ok(chain) = PersistentGemmChain::auto(arch, &problems, &epilogues) else {
                 continue;
             };
-            // Profit check: the longer chain must beat head + tail. The
-            // chain inherits the head's parallel-stripe threshold (set
-            // from `BoltConfig::parallel_m_rows` at dense lowering).
-            let (head_us, head_pmr) = match &steps[i].kind {
-                StepKind::B2bGemm { kernel, .. } => {
-                    (kernel.time(arch).total_us, kernel.parallel_m_rows)
-                }
-                StepKind::GemmChain { chain, .. } => {
-                    (chain.time(arch).total_us, chain.parallel_m_rows)
-                }
+            // Profit check: the longer chain must beat head + tail.
+            let head_us = match &steps[i].kind {
+                StepKind::B2bGemm { kernel, .. } => kernel.time(arch).total_us,
+                StepKind::GemmChain { chain, .. } => chain.time(arch).total_us,
                 _ => unreachable!(),
             };
-            let chain = chain.with_parallel_m_rows(head_pmr);
             let tail_us = next.time(arch).total_us;
             if chain.time(arch).total_us >= head_us + tail_us {
                 continue;
@@ -636,7 +626,6 @@ fn find_fusion(graph: &Graph, arch: &GpuArch, steps: &[Step]) -> Option<(usize, 
                     else {
                         break;
                     };
-                    let fused = fused.with_parallel_m_rows(k0.parallel_m_rows);
                     let fused_us = fused.time(arch).total_us;
                     let unfused_us = k0.time(arch).total_us + k1.time(arch).total_us;
                     if fused_us < unfused_us {

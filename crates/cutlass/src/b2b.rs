@@ -31,7 +31,7 @@ use bolt_tensor::{DType, Tensor};
 use crate::conv2d::{Conv2dConfig, Conv2dKernel};
 use crate::epilogue::Epilogue;
 use crate::error::KernelError;
-use crate::gemm::{GemmKernel, GemmProblem};
+use crate::gemm::{GemmKernel, GemmProblem, PARALLEL_M_ROWS};
 use crate::perf;
 use crate::template::GemmConfig;
 use crate::Result;
@@ -72,10 +72,6 @@ pub struct B2bGemmKernel {
     pub epilogue1: Epilogue,
     /// Intermediate-residence design.
     pub residence: Residence,
-    /// Minimum M before [`B2bGemmKernel::run_into`] parallelizes
-    /// M-stripes across host cores (see
-    /// [`GemmKernel::parallel_m_rows`]).
-    pub parallel_m_rows: usize,
 }
 
 impl B2bGemmKernel {
@@ -116,16 +112,7 @@ impl B2bGemmKernel {
             epilogue0,
             epilogue1,
             residence,
-            parallel_m_rows: crate::gemm::PARALLEL_M_ROWS,
         }
-    }
-
-    /// Overrides the M extent at which [`B2bGemmKernel::run_into`] goes
-    /// data-parallel (propagated to the per-stripe GEMM sub-kernels).
-    #[must_use]
-    pub fn with_parallel_m_rows(mut self, rows: usize) -> Self {
-        self.parallel_m_rows = rows.max(1);
-        self
     }
 
     /// Picks the RF-resident variant when it is legal on `arch`, otherwise
@@ -278,13 +265,13 @@ impl B2bGemmKernel {
             problem: self.gemm0,
             config: self.config0,
             epilogue: self.epilogue0,
-            parallel_m_rows: self.parallel_m_rows,
+            parallel_m_rows: PARALLEL_M_ROWS,
         };
         let k1_kernel = GemmKernel {
             problem: self.gemm1,
             config: self.config1,
             epilogue: self.epilogue1,
-            parallel_m_rows: self.parallel_m_rows,
+            parallel_m_rows: PARALLEL_M_ROWS,
         };
 
         let mut d1 = Tensor::zeros(&[m, n1], self.epilogue1.out_dtype);
@@ -367,7 +354,7 @@ impl B2bGemmKernel {
         let tb_m = self.config0.threadblock.m;
         let stripes = m.div_ceil(tb_m);
         let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
-        if threads > 1 && stripes > 1 && m >= self.parallel_m_rows.max(1) {
+        if threads > 1 && stripes > 1 && m >= PARALLEL_M_ROWS {
             let workers = threads.min(stripes);
             let per = stripes.div_ceil(workers);
             let result = std::sync::Mutex::new(Ok(()));
@@ -448,7 +435,7 @@ impl B2bGemmKernel {
                 problem: self.gemm0,
                 config: self.config0,
                 epilogue: self.epilogue0,
-                parallel_m_rows: self.parallel_m_rows,
+                parallel_m_rows: PARALLEL_M_ROWS,
             };
             k0_kernel.problem.m = rows;
             d0.resize(rows * n0, 0.0);
@@ -465,7 +452,7 @@ impl B2bGemmKernel {
                 problem: self.gemm1,
                 config: self.config1,
                 epilogue: self.epilogue1,
-                parallel_m_rows: self.parallel_m_rows,
+                parallel_m_rows: PARALLEL_M_ROWS,
             };
             k1_kernel.problem.m = rows;
             let out_rows = &mut out[(row0 - base) * n1..(row0 - base + rows) * n1];
@@ -709,7 +696,6 @@ impl B2bConvKernel {
             epilogue0: self.epilogue0,
             epilogue1: self.epilogue1,
             residence: self.residence,
-            parallel_m_rows: crate::gemm::PARALLEL_M_ROWS,
         }
     }
 

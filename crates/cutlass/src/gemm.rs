@@ -129,9 +129,7 @@ pub struct GemmKernel {
     pub epilogue: Epilogue,
     /// Minimum M extent before [`GemmKernel::run_into`] spreads
     /// threadblock M-stripes across host cores ([`PARALLEL_M_ROWS`] by
-    /// default). Deployments serving decode-step skinny GEMMs tune this
-    /// through `BoltConfig::parallel_m_rows` so single-token batches
-    /// never pay thread-scope overhead.
+    /// default).
     pub parallel_m_rows: usize,
 }
 

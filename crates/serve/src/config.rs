@@ -26,11 +26,6 @@ pub struct ServeConfig {
     /// still queued past their deadline are shed at batch-formation time
     /// ([`crate::Outcome::DeadlineExceeded`]) rather than executed late.
     pub default_deadline: Option<Duration>,
-    /// Batch-bucket sizes to compile engines for. `None` selects powers
-    /// of two up to [`ServeConfig::max_batch`] (always including
-    /// `max_batch` itself); a formed batch runs on the smallest bucket
-    /// that fits, padded by replicating the last sample.
-    pub batch_buckets: Option<Vec<usize>>,
     /// Enables online tuning: unseen batch shapes are served on a
     /// fallback path while a background tuner compiles, hot-swaps, and
     /// (under a memory budget) evicts engines. `None` serves only
@@ -46,7 +41,6 @@ impl Default for ServeConfig {
             batch_timeout: Duration::from_millis(2),
             queue_capacity: 256,
             default_deadline: None,
-            batch_buckets: None,
             online: None,
         }
     }
@@ -83,26 +77,17 @@ impl ServeConfig {
         })
     }
 
-    /// The bucket sizes engines are compiled for: the explicit
-    /// [`ServeConfig::batch_buckets`] (sorted, deduplicated), or powers
-    /// of two `1, 2, 4, …` up to and including [`ServeConfig::max_batch`].
+    /// The bucket sizes engines are compiled for: powers of two `1, 2,
+    /// 4, …` up to and including [`ServeConfig::max_batch`] (none when it
+    /// is zero). A formed batch runs on the smallest bucket that fits,
+    /// padded by replicating the last sample.
     pub fn buckets(&self) -> Vec<usize> {
-        let mut buckets = match &self.batch_buckets {
-            Some(b) => b.clone(),
-            None => {
-                let mut b = Vec::new();
-                let mut size = 1usize;
-                while size < self.max_batch {
-                    b.push(size);
-                    size *= 2;
-                }
-                b.push(self.max_batch);
-                b
-            }
-        };
-        buckets.retain(|&b| b > 0);
-        buckets.sort_unstable();
-        buckets.dedup();
+        let mut buckets: Vec<usize> = std::iter::successors(Some(1), |b| Some(b * 2))
+            .take_while(|&b| b < self.max_batch)
+            .collect();
+        if self.max_batch > 0 {
+            buckets.push(self.max_batch);
+        }
         buckets
     }
 }
@@ -120,14 +105,5 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(odd.buckets(), vec![1, 2, 4, 6]);
-    }
-
-    #[test]
-    fn explicit_buckets_are_normalized() {
-        let c = ServeConfig {
-            batch_buckets: Some(vec![4, 1, 4, 0]),
-            ..Default::default()
-        };
-        assert_eq!(c.buckets(), vec![1, 4]);
     }
 }

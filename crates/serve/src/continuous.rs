@@ -202,6 +202,10 @@ pub struct LlmStats {
     pub sim_us: f64,
 }
 
+/// KV rows per block: the paging granularity of the batcher's
+/// [`bolt::KvArena`].
+const KV_BLOCK_ROWS: usize = 16;
+
 /// Configuration for [`ContinuousBatcher::new`].
 #[derive(Debug, Clone)]
 pub struct LlmServeConfig {
@@ -223,8 +227,6 @@ pub struct LlmServeConfig {
     /// Free blocks the watermark admission keeps in reserve for the
     /// live batch's decode growth before admitting another prompt.
     pub kv_reserve_blocks: usize,
-    /// KV rows per block (the paging granularity).
-    pub kv_block_rows: usize,
 }
 
 impl Default for LlmServeConfig {
@@ -237,7 +239,6 @@ impl Default for LlmServeConfig {
             online: OnlineConfig::default(),
             kv_budget_blocks: None,
             kv_reserve_blocks: 1,
-            kv_block_rows: 16,
         }
     }
 }
@@ -454,10 +455,10 @@ impl ContinuousBatcher {
     /// # Errors
     ///
     /// [`ServeError::UnknownModel`] when `config.model` is not an LLM
-    /// zoo entry, [`ServeError::Config`] for a zero slot count, zero
-    /// `kv_block_rows`, or a block budget too small to ever hold one
-    /// full-context sequence (such a budget could deadlock: a lone
-    /// sequence would exhaust the pool with no victim to preempt).
+    /// zoo entry, [`ServeError::Config`] for a zero slot count or a block
+    /// budget too small to ever hold one full-context sequence (such a
+    /// budget could deadlock: a lone sequence would exhaust the pool with
+    /// no victim to preempt).
     pub fn new(arch: GpuArch, bolt_config: BoltConfig, config: LlmServeConfig) -> Result<Self> {
         let spec = llm_by_name(&config.model).ok_or_else(|| ServeError::UnknownModel {
             name: config.model.clone(),
@@ -465,11 +466,6 @@ impl ContinuousBatcher {
         if config.max_slots == 0 {
             return Err(ServeError::Config {
                 reason: "max_slots must be at least 1".into(),
-            });
-        }
-        if config.kv_block_rows == 0 {
-            return Err(ServeError::Config {
-                reason: "kv_block_rows must be at least 1".into(),
             });
         }
         let registry = Arc::new(EngineRegistry::new(arch, bolt_config));
@@ -492,7 +488,7 @@ impl ContinuousBatcher {
             layers: spec.layers,
             kv_dim: spec.kv_dim(),
             max_seq: spec.max_seq,
-            block_rows: config.kv_block_rows,
+            block_rows: KV_BLOCK_ROWS,
         };
         let full_seq = kv_spec.blocks_for(spec.max_seq);
         let budget = config
@@ -1492,14 +1488,13 @@ mod tests {
     /// rejected at construction.
     #[test]
     fn sub_context_budgets_are_rejected() {
-        for (budget, block_rows) in [(Some(9), 16), (Some(0), 16), (Some(39), 4)] {
+        for budget in [Some(9), Some(0)] {
             assert!(matches!(
                 ContinuousBatcher::new(
                     test_arch(),
                     BoltConfig::default(),
                     LlmServeConfig {
                         kv_budget_blocks: budget,
-                        kv_block_rows: block_rows,
                         ..LlmServeConfig::default()
                     }
                 )
@@ -1507,18 +1502,6 @@ mod tests {
                 Some(ServeError::Config { .. })
             ));
         }
-        assert!(matches!(
-            ContinuousBatcher::new(
-                test_arch(),
-                BoltConfig::default(),
-                LlmServeConfig {
-                    kv_block_rows: 0,
-                    ..LlmServeConfig::default()
-                }
-            )
-            .err(),
-            Some(ServeError::Config { .. })
-        ));
     }
 
     #[test]

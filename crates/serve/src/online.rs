@@ -38,16 +38,16 @@ use bolt::ExecutionPlan;
 use crate::registry::{EngineRegistry, ModelEngines};
 use crate::Result;
 
+/// Bounded compile-queue length. A miss whose compile does not fit is
+/// still served on the fallback path; only the background compile is
+/// skipped (and counted in [`OnlineSnapshot::compile_queue_rejected`]).
+const COMPILE_QUEUE_CAPACITY: usize = 64;
+
 /// Tunables for the [`OnlineEngineManager`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnlineConfig {
     /// Background tuner threads running profiled compiles.
     pub tuner_threads: usize,
-    /// Bounded compile-queue length. A miss whose compile does not fit
-    /// is still served on the fallback path; only the background compile
-    /// is skipped (and counted in
-    /// [`OnlineSnapshot::compile_queue_rejected`]).
-    pub queue_capacity: usize,
     /// Total [`bolt::ExecutionPlan::resident_bytes`] the managed tuned
     /// engines may keep resident; least-recently-used buckets are
     /// evicted to stay under it. `None` disables eviction.
@@ -72,7 +72,6 @@ impl Default for OnlineConfig {
     fn default() -> Self {
         OnlineConfig {
             tuner_threads: 1,
-            queue_capacity: 64,
             memory_budget_bytes: None,
             retry_backoff: Duration::from_millis(250),
             retry_backoff_max: Duration::from_secs(10),
@@ -306,7 +305,7 @@ impl Shared {
             }
             _ => {}
         }
-        if st.queue.len() >= self.config.queue_capacity {
+        if st.queue.len() >= COMPILE_QUEUE_CAPACITY {
             self.counters
                 .compile_queue_rejected
                 .fetch_add(1, Ordering::Relaxed);
@@ -370,7 +369,6 @@ impl OnlineEngineManager {
     pub fn new(registry: Arc<EngineRegistry>, config: OnlineConfig) -> Self {
         let config = OnlineConfig {
             tuner_threads: config.tuner_threads.max(1),
-            queue_capacity: config.queue_capacity.max(1),
             ..config
         };
         let threads = config.tuner_threads;
