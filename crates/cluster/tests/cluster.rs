@@ -12,9 +12,9 @@ use std::time::Duration;
 use bolt::BoltConfig;
 use bolt_cluster::{
     Autoscaler, AutoscalerConfig, Cluster, ClusterConfig, ClusterError, ModelSpec, PlacementPolicy,
-    ReplicaSpec, ScaleDecision,
+    Replica, ReplicaSpec, ScaleDecision,
 };
-use bolt_serve::testing::test_arch;
+use bolt_serve::testing::{occupy_streams, test_arch};
 use bolt_serve::{Outcome, ServeConfig, ServeError};
 use bolt_tensor::{DType, Tensor};
 
@@ -53,9 +53,10 @@ fn bounded_cluster(
     Cluster::new(config).expect("cluster comes up")
 }
 
-/// A serve config whose queues hold work: batches form only at
-/// `max_batch` and the timeout is far away, so queued requests stay
-/// visible to gauges and admission control.
+/// A serve config whose queues hold work once [`hold_streams`] has
+/// occupied the streams: batches form only at `max_batch` and the
+/// timeout is far away, so queued requests stay visible to gauges and
+/// admission control.
 fn holding_config(queue_capacity: usize) -> ServeConfig {
     ServeConfig {
         workers: 1,
@@ -63,6 +64,22 @@ fn holding_config(queue_capacity: usize) -> ServeConfig {
         queue_capacity,
         ..ServeConfig::default()
     }
+}
+
+/// Occupies the one simulated stream of `replica` (a `holding_config`
+/// replica), returning how many ballast requests that took.
+fn hold_replica(replica: &Replica) -> u64 {
+    occupy_streams(replica.registry(), 1, |model, inputs| {
+        replica
+            .submit_recoverable(model, inputs, None)
+            .map_err(|(e, _)| e)
+            .expect("ballast admitted")
+    })
+}
+
+/// [`hold_replica`] on every live replica; returns the ballast total.
+fn hold_streams(cluster: &Cluster) -> u64 {
+    cluster.replicas().iter().map(|r| hold_replica(r)).sum()
 }
 
 #[test]
@@ -129,6 +146,7 @@ fn backpressure_fails_over_then_fails_fast_cluster_wide() {
         PlacementPolicy::ConsistentHash { virtual_nodes: 64 },
         holding_config(2),
     );
+    let held = hold_streams(&cluster);
     let mut handles = Vec::new();
     for i in 0..4 {
         handles.push(
@@ -160,7 +178,7 @@ fn backpressure_fails_over_then_fails_fast_cluster_wide() {
     for handle in handles {
         assert!(matches!(handle.wait(), Outcome::Completed(_)));
     }
-    assert_eq!(end.totals.completed, 4);
+    assert_eq!(end.totals.completed, 4 + held);
     assert_eq!(end.totals.unresolved(), 0);
 }
 
@@ -200,6 +218,7 @@ fn kernel_cost_follows_bucket_removal() {
 fn abrupt_kill_rejects_queued_work_exactly_once() {
     let cluster = cluster(1, PlacementPolicy::LeastLoaded, holding_config(64));
     let id = cluster.replicas()[0].id();
+    let held = hold_streams(&cluster);
     let handles: Vec<_> = (0..5)
         .map(|i| {
             cluster
@@ -208,10 +227,10 @@ fn abrupt_kill_rejects_queued_work_exactly_once() {
         })
         .collect();
     let stats = cluster.kill_replica(id).expect("killed");
-    assert_eq!(stats.accepted, 5);
+    assert_eq!(stats.accepted, 5 + held);
     assert_eq!(
         stats.resolved(),
-        5,
+        5 + held,
         "abort resolves everything queued, as rejections"
     );
     for handle in handles {
@@ -236,7 +255,9 @@ fn autoscaler_scales_up_on_queue_pressure() {
             ..AutoscalerConfig::default()
         },
     );
-    // Six requests sit queued (batches need 8 to form, timeout is far).
+    // Six requests sit queued (batches need 8 to form, the stream is
+    // busy, timeout is far).
+    hold_streams(&cluster);
     let handles: Vec<_> = (0..6)
         .map(|i| {
             cluster

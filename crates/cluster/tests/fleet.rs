@@ -13,6 +13,7 @@ use bolt_cluster::{
     PlacementPolicy, ReplicaSpec, ScaleDecision,
 };
 use bolt_gpu_sim::GpuArch;
+use bolt_serve::testing::occupy_streams;
 use bolt_serve::{EngineRegistry, Outcome, ServeConfig};
 use bolt_tensor::{DType, Tensor};
 
@@ -207,8 +208,9 @@ fn cost_slo_sends_tight_deadlines_to_the_fast_class() {
 
 #[test]
 fn autoscaler_scales_the_hot_class_not_the_fleet() {
-    // Queues hold work (batches form only at max_batch, timeout far
-    // away), so outstanding requests stay visible per class.
+    // Queues hold work (batches form only at max_batch, the busy stream
+    // waits out a far timeout), so outstanding requests stay visible per
+    // class.
     let serve = ServeConfig {
         workers: 1,
         batch_timeout: Duration::from_secs(10),
@@ -235,15 +237,22 @@ fn autoscaler_scales_the_hot_class_not_the_fleet() {
 
     // Throughput traffic on an idle mix goes to the cheapest class
     // (A100); with batches held, its queue builds while the T4 stays
-    // idle — only the hot class may grow.
-    let handles: Vec<_> = (0..6)
-        .map(|i| cluster.submit(MODEL, sample(i), None).expect("queued"))
-        .collect();
+    // idle — only the hot class may grow. Only the A100's stream is
+    // occupied: the ballast's own latency would read as hot on the T4.
     let a100_replica = cluster
         .replicas()
         .into_iter()
         .find(|r| r.class() == "a100")
         .expect("a100 class live");
+    occupy_streams(a100_replica.registry(), 1, |model, inputs| {
+        a100_replica
+            .submit_recoverable(model, inputs, None)
+            .map_err(|(e, _)| e)
+            .expect("ballast admitted")
+    });
+    let handles: Vec<_> = (0..6)
+        .map(|i| cluster.submit(MODEL, sample(i), None).expect("queued"))
+        .collect();
     assert_eq!(
         a100_replica.load().expect("live").outstanding(),
         6,

@@ -14,9 +14,12 @@ pub struct ServeConfig {
     /// Largest batch the scheduler forms. A queue is drained as soon as
     /// this many requests are waiting.
     pub max_batch: usize,
-    /// How long a partial batch may wait for company before it is
-    /// dispatched anyway — the classic dynamic-batching knob trading
-    /// per-request latency for batch efficiency.
+    /// The longest a partial batch waits for company while every
+    /// worker's simulated stream is busy — the classic dynamic-batching
+    /// knob trading per-request latency for batch efficiency. Dispatch
+    /// is work-conserving: a worker waiting for work on a free stream
+    /// takes the oldest partial batch at once, so a lightly loaded
+    /// server never holds a request for this long.
     pub batch_timeout: Duration,
     /// Bounded per-(model, shape) queue depth. A submit against a full
     /// queue fails fast with [`crate::ServeError::QueueFull`]

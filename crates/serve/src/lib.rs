@@ -12,8 +12,10 @@
 //!    the profiler and on-disk autotune caches) and shares the immutable
 //!    `Arc<CompiledModel>` engines across threads.
 //! 2. **Dynamic-batching scheduler** — single-sample requests queue per
-//!    (model, shape); a batch dispatches when `max_batch` requests wait
-//!    or the oldest has waited `batch_timeout`.
+//!    (model, shape); a batch dispatches when `max_batch` requests wait,
+//!    when a worker with a free simulated stream would otherwise idle
+//!    (work-conserving, oldest partial batch first), or when the oldest
+//!    request has waited `batch_timeout` while every stream is busy.
 //! 3. **Worker pool** — each worker models one GPU stream: it executes
 //!    the batch functionally (`CompiledModel::run_batched`, when the
 //!    model's parameters are materialized) and prices it on the

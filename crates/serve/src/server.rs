@@ -2,7 +2,7 @@
 //! worker pool of simulated GPU streams.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -17,7 +17,7 @@ use crate::registry::EngineRegistry;
 use crate::request::{
     InferResponse, LatencyBreakdown, Outcome, QueuedRequest, RequestHandle, ResponseSlot,
 };
-use crate::scheduler::{BatchJob, Scheduler};
+use crate::scheduler::{BatchJob, Scheduler, Take};
 use crate::Result;
 
 /// Shared state between the front-end, the batcher, and the workers.
@@ -31,8 +31,11 @@ struct Inner {
     epoch: Instant,
     metrics: Metrics,
     sched: Mutex<Scheduler>,
-    /// Wakes the batcher on submissions and shutdown.
+    /// Wakes the batcher on submissions, workers turning idle or taking
+    /// a batch, and shutdown.
     sched_cv: Condvar,
+    /// Wakes the workers on hand-offs and when the hand-off closes.
+    work_cv: Condvar,
     next_id: AtomicU64,
 }
 
@@ -40,6 +43,21 @@ impl Inner {
     fn now_us(&self) -> f64 {
         self.epoch.elapsed().as_secs_f64() * 1e6
     }
+
+    fn lock_sched(&self) -> MutexGuard<'_, Scheduler> {
+        self.sched.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// Sleeps on `cv`, releasing the scheduler lock, for at most `wait`.
+fn wait<'a>(
+    cv: &Condvar,
+    sched: MutexGuard<'a, Scheduler>,
+    wait: Duration,
+) -> MutexGuard<'a, Scheduler> {
+    cv.wait_timeout(sched, wait)
+        .unwrap_or_else(|e| e.into_inner())
+        .0
 }
 
 /// A multi-model dynamic-batching inference server over compiled Bolt
@@ -82,34 +100,27 @@ impl BoltServer {
             .map(|oc| OnlineEngineManager::new(Arc::clone(&registry), oc));
         let inner = Arc::new(Inner {
             registry,
+            sched: Mutex::new(Scheduler::new(config.workers)),
             config,
             online,
             epoch: Instant::now(),
             metrics: Metrics::default(),
-            sched: Mutex::new(Scheduler::new()),
             sched_cv: Condvar::new(),
+            work_cv: Condvar::new(),
             next_id: AtomicU64::new(0),
         });
 
-        // Bounded hand-off: at most ~one formed batch per worker may wait
-        // in the channel. Any further backlog stays in the scheduler
-        // queues, where deadline shedding and queue-capacity backpressure
-        // still apply (an unbounded channel would hide overload from
-        // admission control).
-        let (tx, rx) = mpsc::sync_channel::<BatchJob>(inner.config.workers);
-        let rx = Arc::new(Mutex::new(rx));
         let workers = (0..inner.config.workers)
-            .map(|_| {
+            .map(|worker| {
                 let inner = Arc::clone(&inner);
-                let rx = Arc::clone(&rx);
                 // Supervisor: per-batch panics are isolated inside the
                 // loop; one that still escapes (an injected worker kill,
                 // a real bug outside batch scope) restarts the loop in
                 // place so the stream pool never shrinks. A clean return
-                // means the channel closed: drained.
+                // means the hand-off closed: drained.
                 std::thread::spawn(move || loop {
                     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        worker_loop(&inner, &rx)
+                        worker_loop(&inner, worker)
                     })) {
                         Ok(()) => return,
                         Err(_) => inner.metrics.worker_restarted(),
@@ -119,7 +130,7 @@ impl BoltServer {
             .collect();
         let batcher = {
             let inner = Arc::clone(&inner);
-            std::thread::spawn(move || batcher_loop(&inner, &tx))
+            std::thread::spawn(move || batcher_loop(&inner))
         };
 
         Ok(BoltServer {
@@ -203,7 +214,7 @@ impl BoltServer {
         }
 
         let key = Scheduler::key_for(&engines);
-        let mut sched = inner.sched.lock().unwrap_or_else(|e| e.into_inner());
+        let mut sched = inner.lock_sched();
         if !sched.accepting {
             inner.metrics.rejected_shutting_down();
             return Err((ServeError::ShuttingDown, inputs));
@@ -283,7 +294,7 @@ impl BoltServer {
     /// just mostly as rejections.
     pub fn abort(mut self) -> MetricsSnapshot {
         {
-            let mut sched = self.inner.sched.lock().unwrap_or_else(|e| e.into_inner());
+            let mut sched = self.inner.lock_sched();
             sched.aborting = true;
             self.inner.sched_cv.notify_all();
         }
@@ -296,15 +307,15 @@ impl BoltServer {
             return;
         }
         {
-            let mut sched = self.inner.sched.lock().unwrap_or_else(|e| e.into_inner());
+            let mut sched = self.inner.lock_sched();
             sched.accepting = false;
             self.inner.sched_cv.notify_all();
         }
         if let Some(handle) = self.batcher.take() {
             let _ = handle.join();
         }
-        // The batcher dropped its sender on exit; workers drain the
-        // channel and stop.
+        // The batcher closed the hand-off on exit; workers drain it and
+        // stop.
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -317,72 +328,107 @@ impl Drop for BoltServer {
     }
 }
 
-/// Idle re-check interval: bounds how stale the batcher's view can get
-/// even if a wakeup is missed.
+/// Idle re-check interval: bounds how stale a sleeping batcher's or
+/// worker's view can get even if a wakeup is missed.
 const IDLE_TICK: Duration = Duration::from_millis(20);
 
-fn batcher_loop(inner: &Inner, tx: &mpsc::SyncSender<BatchJob>) {
+fn batcher_loop(inner: &Inner) {
     let timeout_us = inner.config.batch_timeout.as_secs_f64() * 1e6;
-    let mut sched = inner.sched.lock().unwrap_or_else(|e| e.into_inner());
+    let mut sched = inner.lock_sched();
     loop {
         let now_us = inner.now_us();
         let flush = !sched.accepting;
+        let idle_budget = sched.idle_budget(now_us);
         let result = sched.form(
             now_us,
             inner.config.max_batch,
             timeout_us,
             flush,
             inner.online.is_some(),
+            idle_budget,
         );
         let idle = result.jobs.is_empty() && result.shed.is_empty();
         if flush && idle && sched.pending() == 0 {
-            return; // drained; dropping `tx` stops the workers
+            // Drained: workers finish the hand-off, then stop.
+            sched.close();
+            inner.work_cv.notify_all();
+            return;
         }
         if !idle {
-            let abort = sched.aborting;
-            // Resolve/dispatch outside the lock so submitters keep moving.
-            drop(sched);
+            // Count the formed requests in flight before any worker can
+            // complete one.
             inner
                 .metrics
                 .dequeued(result.jobs.iter().map(|j| j.requests.len()).sum());
+            let aborted = if sched.aborting {
+                result.jobs
+            } else {
+                sched.hand_off(result.jobs);
+                inner.work_cv.notify_all();
+                // Bounded hand-off: at most ~one formed batch per worker
+                // waits to be taken. Any further backlog stays in the
+                // scheduler queues, where deadline shedding and
+                // queue-capacity backpressure still apply.
+                while sched.handoff_len() > inner.config.workers {
+                    sched = wait(&inner.sched_cv, sched, IDLE_TICK);
+                }
+                Vec::new()
+            };
+            // Resolve outside the lock so submitters keep moving.
+            drop(sched);
             for request in result.shed {
                 inner.metrics.deadline_shed();
                 request.slot.resolve(Outcome::DeadlineExceeded {
                     waited_us: now_us - request.submitted_us,
                 });
             }
-            for job in result.jobs {
-                if abort {
-                    // Abort drain: terminate queued work fast instead of
-                    // executing it. Exactly-once still holds — each
-                    // request resolves, as a rejection.
-                    reject_all(inner, job.requests, "server aborted");
-                    continue;
-                }
-                if let Err(mpsc::SendError(job)) = tx.send(job) {
-                    // The worker pool is gone (every receiver dropped).
-                    // Admission promised a terminal outcome: reject each
-                    // request rather than silently dropping the batch.
-                    reject_all(inner, job.requests, "worker pool unavailable");
-                }
+            for job in aborted {
+                // Abort drain: terminate queued work fast instead of
+                // executing it. Exactly-once still holds — each request
+                // resolves, as a rejection.
+                reject_all(inner, job.requests, "server aborted");
             }
-            sched = inner.sched.lock().unwrap_or_else(|e| e.into_inner());
+            sched = inner.lock_sched();
             continue; // re-form: new work may have queued meanwhile
         }
-        let wait = result
-            .next_wake_us
-            .map(|wake| Duration::from_secs_f64(((wake - now_us).max(1.0)) / 1e6))
-            .unwrap_or(IDLE_TICK)
-            .min(IDLE_TICK);
-        let (guard, _) = inner
-            .sched_cv
-            .wait_timeout(sched, wait)
-            .unwrap_or_else(|e| e.into_inner());
-        sched = guard;
+        let wake = match (result.next_wake_us, sched.next_stream_free_us(now_us)) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        sched = wait(&inner.sched_cv, sched, until(wake, now_us));
     }
 }
 
-fn worker_loop(inner: &Inner, rx: &Mutex<mpsc::Receiver<BatchJob>>) {
+/// How long to sleep from `now_us` to the `wake` edge, capped by
+/// [`IDLE_TICK`].
+fn until(wake: Option<f64>, now_us: f64) -> Duration {
+    wake.map(|wake| Duration::from_secs_f64((wake - now_us).max(1.0) / 1e6))
+        .unwrap_or(IDLE_TICK)
+        .min(IDLE_TICK)
+}
+
+/// Blocks worker `worker`, whose stream is busy until `busy_until_us`,
+/// until it may take a batch; `None` once the server has drained.
+fn next_job(inner: &Inner, worker: usize, busy_until_us: f64) -> Option<BatchJob> {
+    let mut sched = inner.lock_sched();
+    // A worker turning idle may let a partial batch leave now.
+    sched.worker_waiting(worker, busy_until_us);
+    inner.sched_cv.notify_all();
+    loop {
+        let now_us = inner.now_us();
+        match sched.take(worker, now_us) {
+            Take::Job(job) => {
+                // Room in the hand-off for the batcher.
+                inner.sched_cv.notify_all();
+                return Some(job);
+            }
+            Take::Closed => return None,
+            Take::Wait(wake) => sched = wait(&inner.work_cv, sched, until(wake, now_us)),
+        }
+    }
+}
+
+fn worker_loop(inner: &Inner, worker: usize) {
     // This worker's simulated stream: absolute µs (server timeline) until
     // which the stream is busy. Batches dispatched to the same stream
     // queue behind each other, exactly like kernels on a CUDA stream.
@@ -392,31 +438,25 @@ fn worker_loop(inner: &Inner, rx: &Mutex<mpsc::Receiver<BatchJob>>) {
         // Chaos: a worker thread may die *between* batches — it holds no
         // job here, so nothing is lost; the supervisor respawns it.
         bolt::faults::panic_if_scheduled(bolt::faults::FaultSite::WorkerKill);
-        let job = {
-            let receiver = rx.lock().unwrap_or_else(|e| e.into_inner());
-            receiver.recv()
+        let Some(mut job) = next_job(inner, worker, busy_until_us) else {
+            return; // server drained
         };
-        match job {
-            Ok(mut job) => {
-                // Panic isolation per batch: a panicking kernel (or an
-                // injected fault) rejects the batch's own requests and
-                // nothing else. `execute_batch` drains requests from the
-                // job as it resolves them, so whatever remains after a
-                // panic is exactly the unresolved set.
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    execute_batch(inner, &mut job, &mut busy_until_us)
-                }));
-                if let Err(payload) = run {
-                    inner.metrics.worker_panic();
-                    let reason = ServeError::Panicked {
-                        component: "batch execution".into(),
-                        message: crate::panic_message(&payload),
-                    }
-                    .to_string();
-                    reject_all(inner, job.requests.drain(..), &reason);
-                }
+        // Panic isolation per batch: a panicking kernel (or an injected
+        // fault) rejects the batch's own requests and nothing else.
+        // `execute_batch` drains requests from the job as it resolves
+        // them, so whatever remains after a panic is exactly the
+        // unresolved set.
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            execute_batch(inner, &mut job, &mut busy_until_us)
+        }));
+        if let Err(payload) = run {
+            inner.metrics.worker_panic();
+            let reason = ServeError::Panicked {
+                component: "batch execution".into(),
+                message: crate::panic_message(&payload),
             }
-            Err(_) => return, // channel closed: server drained
+            .to_string();
+            reject_all(inner, job.requests.drain(..), &reason);
         }
     }
 }

@@ -11,7 +11,7 @@
 //! Run with: `cargo test -p bolt-serve --features chaos`
 #![cfg(feature = "chaos")]
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use bolt::faults::{self, ChaosConfig, FaultSite};
@@ -21,6 +21,16 @@ use bolt_serve::testing::test_arch;
 use bolt_serve::{
     BoltServer, EngineRegistry, OnlineConfig, OnlineEngineManager, Outcome, ServeConfig,
 };
+
+/// The fault plan is process-global, and every test here has a phase
+/// that must run fault-free after its own plan is dropped (recovery, the
+/// half-open probe) while its tuner threads are still compiling. Tests
+/// in this file therefore run one at a time, so no test's plan fires
+/// into another's fault-free phase.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn chaos_seed() -> u64 {
     std::env::var("BOLT_CHAOS_SEED")
@@ -54,6 +64,7 @@ fn dynamic_registry(cache: Option<std::path::PathBuf>) -> Arc<EngineRegistry> {
 /// batches, and the autotune cache starts out corrupted on disk.
 #[test]
 fn serving_survives_seeded_fault_storm_with_zero_lost_requests() {
+    let _serial = serial();
     let seed = chaos_seed();
     let dir = scratch_dir("storm");
     let cache = dir.join("autotune.tune");
@@ -268,6 +279,7 @@ fn serving_survives_seeded_fault_storm_with_zero_lost_requests() {
 /// the compile, and the first miss after it enqueues **exactly one**.
 #[test]
 fn failed_bucket_retries_exactly_once_after_backoff() {
+    let _serial = serial();
     let guard = faults::install(ChaosConfig {
         seed: chaos_seed(),
         compile_fail_ratio: 1.0, // every profiled compile fails
@@ -329,6 +341,7 @@ fn failed_bucket_retries_exactly_once_after_backoff() {
 /// stop) closes it again.
 #[test]
 fn breaker_trips_serves_degraded_then_probe_recovers() {
+    let _serial = serial();
     let guard = faults::install(ChaosConfig {
         seed: chaos_seed(),
         compile_fail_ratio: 1.0,

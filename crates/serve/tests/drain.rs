@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bolt::BoltConfig;
-use bolt_serve::testing::test_arch;
+use bolt_serve::testing::{occupy_streams, test_arch};
 use bolt_serve::{BoltServer, EngineRegistry, Outcome, ServeConfig, ServeError};
 use bolt_tensor::{DType, Tensor};
 
@@ -34,6 +34,17 @@ fn registry() -> Arc<EngineRegistry> {
 
 fn sample(seed: u64) -> Vec<Tensor> {
     vec![Tensor::randn(&[1, 128], DType::F16, seed)]
+}
+
+/// Occupies the one simulated stream of a single-worker `server`, so
+/// partial batches wait out `batch_timeout`; returns how many ballast
+/// requests that took.
+fn hold_stream(server: &BoltServer) -> u64 {
+    occupy_streams(server.registry(), 1, |model, inputs| {
+        server
+            .submit(model, inputs, None)
+            .expect("ballast admitted")
+    })
 }
 
 #[test]
@@ -115,8 +126,9 @@ fn graceful_drain_resolves_every_accepted_request_exactly_once() {
 
 #[test]
 fn gauges_show_live_load_and_zero_after_drain() {
-    // Batches form only at 8 and the timeout is far away: submitted
-    // requests sit in the queue where the gauge can see them.
+    // Batches form only at 8, the stream is busy and the timeout is far
+    // away: submitted requests sit in the queue where the gauge can see
+    // them.
     let server = BoltServer::start(
         registry(),
         ServeConfig {
@@ -126,6 +138,7 @@ fn gauges_show_live_load_and_zero_after_drain() {
         },
     )
     .expect("valid serve config");
+    hold_stream(&server);
 
     let handles: Vec<_> = (0..3)
         .map(|i| server.submit("mlp-small", sample(i), None).expect("queued"))
@@ -154,13 +167,18 @@ fn abort_rejects_queued_work_instead_of_executing_it() {
         },
     )
     .expect("valid serve config");
+    let held = hold_stream(&server);
     let handles: Vec<_> = (0..5)
         .map(|i| server.submit("mlp-small", sample(i), None).expect("queued"))
         .collect();
     let stats = server.abort();
-    assert_eq!(stats.accepted, 5);
-    assert_eq!(stats.resolved(), 5, "abort still resolves everything");
-    assert_eq!(stats.completed, 0, "nothing executed");
+    assert_eq!(stats.accepted, 5 + held);
+    assert_eq!(
+        stats.resolved(),
+        5 + held,
+        "abort still resolves everything"
+    );
+    assert_eq!(stats.completed, held, "nothing but the ballast executed");
     for handle in handles {
         assert!(matches!(handle.wait(), Outcome::Rejected { .. }));
     }

@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use bolt::BoltConfig;
 use bolt_models::zoo::sample_inputs;
-use bolt_serve::testing::test_arch;
+use bolt_serve::testing::{occupy_streams, test_arch};
 use bolt_serve::{
     BoltServer, EngineRegistry, InferResponse, OnlineConfig, Outcome, RequestHandle, ServeConfig,
 };
@@ -175,13 +175,19 @@ fn oversized_batches_split_explicitly_and_count_overflow() {
         ServeConfig {
             workers: 1,
             max_batch: 8,
-            // Long enough that all six submissions below join one batch.
+            // Long enough that all six submissions below join one batch
+            // while the stream is busy.
             batch_timeout: Duration::from_millis(200),
             online: Some(OnlineConfig::default()),
             ..Default::default()
         },
     )
     .expect("valid serve config");
+    let held = occupy_streams(&reg, 1, |model, inputs| {
+        server
+            .submit(model, inputs, None)
+            .expect("ballast admitted")
+    });
 
     let sample = |seed: u64| sample_inputs("mlp-small", seed).expect("zoo model");
     let handles: Vec<RequestHandle> = (0..6)
@@ -208,7 +214,7 @@ fn oversized_batches_split_explicitly_and_count_overflow() {
     );
     let stats = server.shutdown();
     assert!(stats.batch_overflow >= 1, "split batches are counted");
-    assert_eq!(stats.completed, 6);
+    assert_eq!(stats.completed, 6 + held);
 }
 
 /// A zero-bucket dynamic model with online tuning *disabled* is

@@ -8,7 +8,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use bolt::BoltConfig;
-use bolt_serve::testing::test_arch;
+use bolt_serve::testing::{occupy_streams, test_arch};
 use bolt_serve::{BoltServer, EngineRegistry, Outcome, RequestHandle, ServeConfig, ServeError};
 use bolt_tensor::{DType, Tensor};
 
@@ -145,9 +145,19 @@ fn server_arc_shutdown(server: Arc<BoltServer>) -> bolt_serve::MetricsSnapshot {
         .shutdown()
 }
 
+/// Occupies the one simulated stream of a single-worker `server`,
+/// returning how many ballast batches of 1 that took.
+fn hold_stream(server: &BoltServer) -> u64 {
+    occupy_streams(server.registry(), 1, |model, inputs| {
+        server
+            .submit(model, inputs, None)
+            .expect("ballast admitted")
+    })
+}
+
 /// Batch formation is driven by `max_batch` (a full batch dispatches
-/// immediately) and `batch_timeout` (a partial batch waits the timeout
-/// out before dispatching).
+/// immediately) and `batch_timeout` (while the stream is busy, a partial
+/// batch waits the timeout out before dispatching).
 #[test]
 fn batch_formation_respects_max_batch_and_timeout() {
     // Full batch: forms the moment 4 requests wait, long before the
@@ -162,6 +172,7 @@ fn batch_formation_respects_max_batch_and_timeout() {
         },
     )
     .expect("valid serve config");
+    let held = hold_stream(&server);
     let start = std::time::Instant::now();
     let handles: Vec<_> = (0..4)
         .map(|i| {
@@ -178,10 +189,11 @@ fn batch_formation_respects_max_batch_and_timeout() {
         "a full batch must not wait for the timeout"
     );
     let stats = server.shutdown();
-    assert_eq!(stats.batch_hist, vec![(4, 1)]);
+    assert_eq!(stats.batch_hist, vec![(1, held), (4, 1)]);
 
-    // Partial batch: two requests cannot fill max_batch, so they dispatch
-    // only once the oldest has waited out the timeout.
+    // Partial batch: two requests cannot fill max_batch, so behind a
+    // busy stream they dispatch only once the oldest has waited out the
+    // timeout.
     let timeout = Duration::from_millis(150);
     let server = BoltServer::start(
         shared_registry(),
@@ -193,6 +205,7 @@ fn batch_formation_respects_max_batch_and_timeout() {
         },
     )
     .expect("valid serve config");
+    let held = hold_stream(&server);
     let start = std::time::Instant::now();
     let handles: Vec<_> = (0..2)
         .map(|i| {
@@ -209,7 +222,92 @@ fn batch_formation_respects_max_batch_and_timeout() {
         "a partial batch must wait for the batch timeout"
     );
     let stats = server.shutdown();
-    assert_eq!(stats.batch_hist, vec![(2, 1)], "one batch of 2, not 1+1");
+    assert_eq!(
+        stats.batch_hist,
+        vec![(1, held), (2, 1)],
+        "one batch of 2, not 1+1"
+    );
+}
+
+/// Work-conserving dispatch: on an idle server a lone request leaves on
+/// the free stream at once instead of waiting out `batch_timeout` for
+/// company that is not coming.
+#[test]
+fn idle_server_dispatches_a_lone_request_without_waiting_for_the_timeout() {
+    let server = BoltServer::start(
+        shared_registry(),
+        ServeConfig {
+            workers: 1,
+            max_batch: 8,
+            batch_timeout: Duration::from_secs(2),
+            ..Default::default()
+        },
+    )
+    .expect("valid serve config");
+    let start = std::time::Instant::now();
+    let outcome = server
+        .submit("mlp-small", sample("mlp-small", 20), None)
+        .expect("submit")
+        .wait();
+    let elapsed = start.elapsed();
+    match outcome {
+        Outcome::Completed(response) => assert_eq!(response.batch_size, 1),
+        other => panic!("unexpected outcome {other:?}"),
+    }
+    assert!(
+        elapsed < Duration::from_millis(100),
+        "a lone request on an idle server took {elapsed:?}"
+    );
+    let stats = server.shutdown();
+    assert_eq!(stats.batch_hist, vec![(1, 1)]);
+}
+
+/// While every stream is busy a free worker is not an idle stream:
+/// partial batches keep waiting out the timeout and batch together.
+#[test]
+fn busy_streams_still_hold_partial_batches_together() {
+    let timeout = Duration::from_millis(100);
+    let server = BoltServer::start(
+        shared_registry(),
+        ServeConfig {
+            workers: 1,
+            max_batch: 8,
+            batch_timeout: timeout,
+            ..Default::default()
+        },
+    )
+    .expect("valid serve config");
+    let held = hold_stream(&server);
+    // Two rounds: the worker is back on the hand-off between them, but
+    // its stream is still busy with the ballast, so each round waits.
+    for round in 0..2u64 {
+        let start = std::time::Instant::now();
+        let handles: Vec<_> = (0..3)
+            .map(|i| {
+                server
+                    .submit("mlp-small", sample("mlp-small", 30 + 3 * round + i), None)
+                    .expect("submit")
+            })
+            .collect();
+        for handle in &handles {
+            match handle.wait() {
+                Outcome::Completed(response) => {
+                    assert_eq!(response.batch_size, 3);
+                    assert!(
+                        response.latency.queue_us >= bolt_serve::testing::BALLAST_MIN_US / 2.0,
+                        "the batch queued behind the ballast on the stream"
+                    );
+                }
+                other => panic!("unexpected outcome {other:?}"),
+            }
+        }
+        assert!(
+            start.elapsed() >= timeout,
+            "round {round} waited the timeout"
+        );
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.batch_hist, vec![(1, held), (3, 2)]);
 }
 
 #[test]
@@ -219,13 +317,15 @@ fn admission_control_rejects_fast_and_counts() {
         ServeConfig {
             workers: 1,
             max_batch: 8,
-            // Queue effectively never drains during the submissions below.
+            // With the stream held busy, the queue never drains during
+            // the submissions below.
             batch_timeout: Duration::from_secs(10),
             queue_capacity: 3,
             ..Default::default()
         },
     )
     .expect("valid serve config");
+    hold_stream(&server);
 
     assert!(matches!(
         server.submit("no-such-model", sample("mlp-small", 0), None),

@@ -120,8 +120,8 @@ fn autoscale_under_storm(smoke: bool) {
         Arc::clone(&cluster),
         AutoscalerConfig {
             // The trickle keeps a couple of requests queued per replica
-            // while partial batches wait out the batch timeout; "cold"
-            // must sit above that floor or it never fires.
+            // while partial batches wait for a busy stream; "cold" must
+            // sit above that floor or it never fires.
             queue_depth_low: 4.0,
             // Bracket the two regimes: the storm's windowed p99 is
             // hundreds of ms of simulated backlog, the trickle's is
