@@ -83,7 +83,7 @@ impl ServeConfig {
     /// The bucket sizes engines are compiled for: powers of two `1, 2,
     /// 4, …` up to and including [`ServeConfig::max_batch`] (none when it
     /// is zero). A formed batch runs on the smallest bucket that fits,
-    /// padded by replicating the last sample.
+    /// its pad rows zero-filled.
     pub fn buckets(&self) -> Vec<usize> {
         let mut buckets: Vec<usize> = std::iter::successors(Some(1), |b| Some(b * 2))
             .take_while(|&b| b < self.max_batch)

@@ -217,8 +217,6 @@ pub struct LlmServeConfig {
     pub max_slots: usize,
     /// Continuous vs. pad-to-bucket batching.
     pub mode: BatchMode,
-    /// Online tuning over the per-M sub-model buckets.
-    pub online: OnlineConfig,
     /// Hard ceiling on KV blocks the arena may materialize — the
     /// governor's memory budget. `None` sizes the pool so every slot
     /// can hold a full-context sequence (no preemption ever needed);
@@ -236,7 +234,6 @@ impl Default for LlmServeConfig {
             salt: 9,
             max_slots: 8,
             mode: BatchMode::Continuous,
-            online: OnlineConfig::default(),
             kv_budget_blocks: None,
             kv_reserve_blocks: 1,
         }
@@ -483,7 +480,7 @@ impl ContinuousBatcher {
         let name = lm_head_name(&config.model);
         let lm_head = registry.register_dynamic(&name, move |m| lm_head_graph(&spec, salt, m))?;
 
-        let online = OnlineEngineManager::new(Arc::clone(&registry), config.online.clone());
+        let online = OnlineEngineManager::new(Arc::clone(&registry), OnlineConfig::default());
         let kv_spec = KvSpec {
             layers: spec.layers,
             kv_dim: spec.kv_dim(),
@@ -1204,9 +1201,15 @@ mod tests {
                     })
                     .expect("valid");
             }
-            let results = engine.run_to_completion();
+            // Drain compiles after every step, so bucket placement (and
+            // with it the padding) depends only on the step sequence,
+            // not on when background tunes land.
+            while engine.live() > 0 || engine.queued() > 0 {
+                engine.step();
+                assert!(engine.wait_tuned(Duration::from_secs(120)));
+            }
             let padding = engine.metrics().padding_fraction;
-            (results, padding)
+            (engine.take_finished(), padding)
         };
         let (cont, cont_padding) = run(BatchMode::Continuous);
         let (stat, stat_padding) = run(BatchMode::StaticCohort);

@@ -10,21 +10,23 @@
 //! 1. **Engine registry** ([`EngineRegistry`]) — compiles each model once
 //!    per batch bucket through one shared [`bolt::BoltCompiler`] (hitting
 //!    the profiler and on-disk autotune caches) and shares the immutable
-//!    `Arc<CompiledModel>` engines across threads.
+//!    `Arc<ExecutionPlan>` engines across threads.
 //! 2. **Dynamic-batching scheduler** — single-sample requests queue per
-//!    (model, shape); a batch dispatches when `max_batch` requests wait,
-//!    when a worker with a free simulated stream would otherwise idle
-//!    (work-conserving, oldest partial batch first), or when the oldest
-//!    request has waited `batch_timeout` while every stream is busy.
+//!    (model, shape), and each worker pulls its own next batch from one
+//!    scheduler function: a full batch at once, the oldest partial batch
+//!    when the worker's simulated stream is free (work-conserving), or a
+//!    partial batch whose oldest request has waited `batch_timeout`
+//!    while every stream is busy.
 //! 3. **Worker pool** — each worker models one GPU stream: it executes
-//!    the batch functionally (`CompiledModel::run_batched`, when the
+//!    the batch functionally (`ExecutionPlan::run_batched`, when the
 //!    model's parameters are materialized) and prices it on the
 //!    `bolt-gpu-sim` timeline, yielding per-request latency = queue wait
 //!    + stream backlog + simulated kernel time.
 //! 4. **Admission control & metrics** — bounded queues reject with
-//!    backpressure, late requests are shed at batch formation, shutdown
-//!    drains gracefully, and [`BoltServer::metrics`] snapshots counters,
-//!    latency percentiles, and the achieved batch-size histogram.
+//!    backpressure, late requests are shed when a worker forms a batch,
+//!    shutdown drains gracefully, and [`BoltServer::metrics`] snapshots
+//!    counters, latency percentiles, and the achieved batch-size
+//!    histogram.
 //! 5. **Online tuning & engine lifecycle** ([`OnlineEngineManager`],
 //!    enabled by [`ServeConfig::online`]) — unseen batch shapes are
 //!    served immediately on a fallback path (nearest bucket, explicit

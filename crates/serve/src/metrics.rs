@@ -33,7 +33,6 @@ struct Inner {
     rejected_no_engine: u64,
     rejected_execution: u64,
     deadline_shed: u64,
-    deadline_shed_dequeue: u64,
     worker_panics: u64,
     worker_restarts: u64,
     degraded: u64,
@@ -73,7 +72,7 @@ impl Metrics {
     }
 
     /// Moves `n` requests from the queued gauge to the in-flight gauge:
-    /// the batcher formed them into batches.
+    /// a worker took them as a batch.
     pub(crate) fn dequeued(&self, n: usize) {
         let mut inner = self.inner.lock();
         inner.queue_depth = inner.queue_depth.saturating_sub(n as u64);
@@ -139,14 +138,6 @@ impl Metrics {
         // Shed at formation: the request left its queue without ever
         // becoming in-flight.
         inner.queue_depth = inner.queue_depth.saturating_sub(1);
-    }
-
-    /// Records a request whose deadline had passed by the time a worker
-    /// dequeued its batch (formation-time shedding missed it).
-    pub(crate) fn deadline_shed_dequeue(&self) {
-        let mut inner = self.inner.lock();
-        inner.deadline_shed_dequeue += 1;
-        inner.inflight = inner.inflight.saturating_sub(1);
     }
 
     /// Records a panic isolated inside per-batch execution.
@@ -273,7 +264,7 @@ impl Metrics {
             rejected_no_engine: inner.rejected_no_engine,
             rejected_execution: inner.rejected_execution,
             deadline_shed: inner.deadline_shed,
-            deadline_shed_dequeue: inner.deadline_shed_dequeue,
+            deadline_shed_dequeue: 0,
             worker_panics: inner.worker_panics,
             worker_restarts: inner.worker_restarts,
             degraded: inner.degraded,
@@ -445,9 +436,10 @@ pub struct MetricsSnapshot {
     /// Accepted requests shed at batch formation because their deadline
     /// had already passed.
     pub deadline_shed: u64,
-    /// Accepted requests shed at worker dequeue time: their deadline
-    /// passed after batch formation, while the batch waited for a
-    /// stream (e.g. behind a slow batch).
+    /// Always 0. A worker forms its batch the moment it takes it, so no
+    /// request waits between formation and dequeue and every shed
+    /// request counts in [`MetricsSnapshot::deadline_shed`]. Kept so
+    /// existing readers of the snapshot still compile.
     pub deadline_shed_dequeue: u64,
     /// Panics isolated inside per-batch execution (every request of the
     /// affected batch resolves [`crate::Outcome::Rejected`]).
@@ -514,11 +506,11 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Requests with a terminal outcome: completed + shed (at formation
-    /// or dequeue) + execution failures. Equals
+    /// Requests with a terminal outcome: completed + shed + execution
+    /// failures. Equals
     /// [`MetricsSnapshot::accepted`] once the server has drained.
     pub fn resolved(&self) -> u64 {
-        self.completed + self.deadline_shed + self.deadline_shed_dequeue + self.rejected_execution
+        self.completed + self.deadline_shed + self.rejected_execution
     }
 }
 
@@ -572,15 +564,15 @@ mod tests {
         assert_eq!((g.queue_depth, g.inflight), (4, 0));
         assert_eq!(g.outstanding(), 4);
 
-        // One request shed while still queued.
+        // Two requests shed while still queued.
         m.deadline_shed();
-        // The other three form a batch.
-        m.dequeued(3);
+        m.deadline_shed();
+        // The other two form a batch.
+        m.dequeued(2);
         let g = m.gauges();
-        assert_eq!((g.queue_depth, g.inflight), (0, 3));
+        assert_eq!((g.queue_depth, g.inflight), (0, 2));
 
-        // One shed at dequeue, one completes, one fails in execution.
-        m.deadline_shed_dequeue();
+        // One completes, one fails in execution.
         m.completed(42.0);
         m.rejected_execution();
         let g = m.gauges();

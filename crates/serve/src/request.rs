@@ -179,6 +179,13 @@ pub(crate) struct QueuedRequest {
     pub slot: Arc<ResponseSlot>,
 }
 
+impl QueuedRequest {
+    /// Whether the request's deadline has passed by `now_us`.
+    pub(crate) fn is_late(&self, now_us: f64) -> bool {
+        self.deadline_us.is_some_and(|deadline| now_us > deadline)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,21 +1,23 @@
-//! The dynamic-batching scheduler: per-(model, shape) queues, the
-//! batch-formation policy, and the batcher's view of the worker streams.
+//! The dynamic-batching scheduler: per-(model, shape) queues, each
+//! worker's simulated stream, and the one dispatch decision — which batch
+//! a waiting worker runs next ([`Scheduler::next`]).
 //!
-//! Policy (DESIGN.md §7): a queue drains into a full batch the moment
-//! `max_batch` requests wait. A partial batch is dispatched when its
-//! oldest request has waited `batch_timeout`, immediately when the
-//! server is draining, and — the policy is work-conserving — whenever a
-//! worker would otherwise idle. Each pass has an *idle budget*: the
-//! workers blocked on the hand-off whose simulated stream is free, minus
-//! the formed batches no worker has taken yet. Full and timed-out
-//! batches spend it first; what is left goes to partial batches, oldest
-//! front request first. So `batch_timeout` bounds a partial batch's wait
-//! only while every stream is busy, which is when waiting for company
-//! pays. Requests whose deadline has already passed are shed at
-//! formation time — executing them would waste a stream on work nobody
-//! is waiting for. Formed batches wait in a bounded hand-off, from which
-//! a worker whose stream is still busy takes one only when more batches
-//! wait than free waiting workers can take ([`Scheduler::take`]).
+//! Policy (DESIGN.md §7). Dispatch is *pull*: a worker done with its
+//! batch records itself waiting, with the time its simulated stream frees
+//! up, and asks for its next batch. Requests whose deadline has already
+//! passed are shed first — executing them would waste a stream on work
+//! nobody is waiting for. A batch is *ready* when it is full (`max_batch`,
+//! clamped to the model's largest bucket), when its queue's oldest
+//! request has waited `batch_timeout`, or when the server is draining. A
+//! worker whose stream is free takes the ready batch with the oldest front
+//! request, else the oldest partial batch: dispatch is work-conserving, so
+//! a free stream never idles while a request waits. A worker whose stream
+//! is still busy takes a ready batch only while more are ready than the
+//! other free waiting workers can take — a batch it took would queue
+//! behind its backlog on the simulated clock. Otherwise the worker waits
+//! until its stream frees up, the next timeout or deadline edge, or a new
+//! submission. So `batch_timeout` bounds a partial batch's wait only while
+//! every stream is busy, which is when waiting for company pays.
 //!
 //! The scheduler is a plain data structure driven under the server's
 //! lock, which keeps the policy deterministic and directly unit-testable.
@@ -26,7 +28,7 @@ use std::sync::Arc;
 use crate::registry::ModelEngines;
 use crate::request::QueuedRequest;
 
-/// A formed batch handed to the worker pool.
+/// A batch a worker took.
 #[derive(Debug)]
 pub(crate) struct BatchJob {
     pub model: Arc<ModelEngines>,
@@ -34,69 +36,57 @@ pub(crate) struct BatchJob {
     pub requests: Vec<QueuedRequest>,
 }
 
-/// What one scheduling pass decided.
-#[derive(Debug, Default)]
-pub(crate) struct FormResult {
-    /// Batches to dispatch, in formation order.
-    pub jobs: Vec<BatchJob>,
-    /// Requests shed because their deadline passed while queued.
-    pub shed: Vec<QueuedRequest>,
-    /// Absolute time (µs) of the next timeout/deadline edge, if any
-    /// request is still waiting.
-    pub next_wake_us: Option<f64>,
-}
-
-/// What a worker gets from [`Scheduler::take`].
+/// What a waiting worker gets from [`Scheduler::next`].
 #[derive(Debug)]
-pub(crate) enum Take {
+pub(crate) enum Next {
     /// A batch to run.
-    Job(BatchJob),
-    /// Nothing for this worker yet: wait for a wakeup, or at the latest
-    /// until the given µs, when its own stream frees up.
+    Batch(BatchJob),
+    /// Nothing for this worker yet: wait for a submission, or at the
+    /// latest until the given µs, when its stream frees up or a timeout or
+    /// deadline edge passes.
     Wait(Option<f64>),
-    /// Drained: the batcher is gone and the hand-off is empty.
-    Closed,
+    /// Draining, and every queue is empty: the worker stops.
+    Drained,
 }
 
-/// One worker as the batcher sees it.
+/// One worker's simulated stream.
 #[derive(Debug, Clone, Copy, Default)]
 struct Stream {
-    /// Blocked waiting for a hand-off.
+    /// Between batches, asking for its next one.
     waiting: bool,
     /// Absolute µs (server timeline) until which the worker's simulated
     /// stream is busy with batches it already ran.
     busy_until_us: f64,
 }
 
-/// Per-(model, shape-bucket) FIFO queues, the admission flags, and the
-/// hand-off between the batcher and the workers.
+/// Per-(model, shape-bucket) FIFO queues, the admission flag, and the
+/// workers' streams.
 #[derive(Debug)]
 pub(crate) struct Scheduler {
     queues: HashMap<String, VecDeque<QueuedRequest>>,
     /// False once draining begins: no new admissions, partial batches
-    /// flush immediately.
+    /// are ready at once.
     pub accepting: bool,
-    /// True for an abort drain (a killed cluster replica): formed
-    /// batches are resolved `Rejected` by the batcher instead of
-    /// dispatched, so queued work terminates fast without executing.
-    pub aborting: bool,
     streams: Vec<Stream>,
-    /// Formed batches no worker has taken yet, oldest first.
-    handoff: VecDeque<BatchJob>,
-    /// Set by the batcher when it exits: workers stop once the hand-off
-    /// is empty.
-    closed: bool,
+    max_batch: usize,
+    timeout_us: f64,
+    /// Ignore each model's compiled max bucket when capping batches: with
+    /// an online tuner behind the workers, a batch larger than every
+    /// compiled bucket is served by split/fallback and tunes its own
+    /// bucket, whereas a zero-bucket dynamic model would otherwise be
+    /// capped to batches of 1 forever.
+    online: bool,
 }
 
 impl Scheduler {
-    pub(crate) fn new(workers: usize) -> Self {
+    pub(crate) fn new(workers: usize, max_batch: usize, timeout_us: f64, online: bool) -> Self {
         Scheduler {
             queues: HashMap::new(),
             accepting: true,
-            aborting: false,
             streams: vec![Stream::default(); workers],
-            handoff: VecDeque::new(),
-            closed: false,
+            max_batch,
+            timeout_us,
+            online,
         }
     }
 
@@ -112,16 +102,17 @@ impl Scheduler {
         self.queues.get(key).map_or(0, VecDeque::len)
     }
 
-    /// Total queued requests across all queues.
-    pub(crate) fn pending(&self) -> usize {
-        self.queues.values().map(VecDeque::len).sum()
-    }
-
     pub(crate) fn enqueue(&mut self, key: String, request: QueuedRequest) {
         self.queues.entry(key).or_default().push_back(request);
     }
 
-    /// Worker `worker` blocks on the hand-off; its stream is busy until
+    /// Every queued request, in no particular order (an abort resolves
+    /// them without executing).
+    pub(crate) fn take_all(&mut self) -> Vec<QueuedRequest> {
+        self.queues.drain().flat_map(|(_, queue)| queue).collect()
+    }
+
+    /// Worker `worker` is between batches; its stream is busy until
     /// `busy_until_us`.
     pub(crate) fn worker_waiting(&mut self, worker: usize, busy_until_us: f64) {
         self.streams[worker] = Stream {
@@ -130,162 +121,122 @@ impl Scheduler {
         };
     }
 
+    /// Worker `worker` (recorded waiting) asks for its next batch at
+    /// `now_us`. Requests whose deadline has passed move to `shed`, for
+    /// the caller to resolve outside the lock.
+    pub(crate) fn next(
+        &mut self,
+        worker: usize,
+        now_us: f64,
+        shed: &mut Vec<QueuedRequest>,
+    ) -> Next {
+        // Shed already-late work first so it neither occupies batch
+        // slots nor delays punctual requests.
+        for queue in self.queues.values_mut() {
+            if queue.iter().any(|r| r.is_late(now_us)) {
+                let (late, kept): (VecDeque<_>, VecDeque<_>) =
+                    queue.drain(..).partition(|r| r.is_late(now_us));
+                shed.extend(late);
+                *queue = kept;
+            }
+        }
+        self.queues.retain(|_, queue| !queue.is_empty());
+        if self.queues.is_empty() {
+            return if self.accepting {
+                Next::Wait(None)
+            } else {
+                Next::Drained
+            };
+        }
+
+        let busy_until_us = self.streams[worker].busy_until_us;
+        let pick = if busy_until_us <= now_us {
+            self.oldest(now_us, true)
+                .or_else(|| self.oldest(now_us, false))
+        } else if self.ready_batches(now_us) > self.free_waiting(worker, now_us) {
+            self.oldest(now_us, true)
+        } else {
+            None
+        };
+        let Some(key) = pick else {
+            return Next::Wait(Some(self.next_edge(now_us).min(busy_until_us)));
+        };
+        self.streams[worker].waiting = false;
+        let cap = self.cap(&self.queues[&key][0]);
+        let queue = self.queues.get_mut(&key).expect("picked a queued key");
+        let take = queue.len().min(cap);
+        let requests: Vec<QueuedRequest> = queue.drain(..take).collect();
+        if queue.is_empty() {
+            self.queues.remove(&key);
+        }
+        Next::Batch(BatchJob {
+            model: Arc::clone(&requests[0].model),
+            requests,
+        })
+    }
+
+    /// The largest batch a queue whose front is `front` may form.
+    fn cap(&self, front: &QueuedRequest) -> usize {
+        let model_cap = if self.online {
+            usize::MAX
+        } else {
+            front.model.max_batch()
+        };
+        self.max_batch.min(model_cap).max(1)
+    }
+
+    /// How many of `queue`'s batches are ready at `now_us`: every full
+    /// one, and the remainder too once the front request has waited out
+    /// the timeout or the server is draining.
+    fn ready_in(&self, queue: &VecDeque<QueuedRequest>, now_us: f64) -> usize {
+        let cap = self.cap(&queue[0]);
+        if !self.accepting || now_us >= queue[0].submitted_us + self.timeout_us {
+            queue.len().div_ceil(cap)
+        } else {
+            queue.len() / cap
+        }
+    }
+
+    fn ready_batches(&self, now_us: f64) -> usize {
+        self.queues.values().map(|q| self.ready_in(q, now_us)).sum()
+    }
+
     /// Waiting workers, other than `except`, whose stream is free at
     /// `now_us`.
-    fn free_waiting(&self, now_us: f64, except: Option<usize>) -> usize {
+    fn free_waiting(&self, except: usize, now_us: f64) -> usize {
         self.streams
             .iter()
             .enumerate()
-            .filter(|&(w, s)| Some(w) != except && s.waiting && s.busy_until_us <= now_us)
+            .filter(|&(w, s)| w != except && s.waiting && s.busy_until_us <= now_us)
             .count()
     }
 
-    /// Hands formed batches to the workers.
-    pub(crate) fn hand_off(&mut self, jobs: Vec<BatchJob>) {
-        self.handoff.extend(jobs);
-    }
-
-    /// Formed batches no worker has taken yet.
-    pub(crate) fn handoff_len(&self) -> usize {
-        self.handoff.len()
-    }
-
-    /// The batcher exited: workers drain the hand-off, then stop.
-    pub(crate) fn close(&mut self) {
-        self.closed = true;
-    }
-
-    /// Worker `worker` (marked waiting) asks for a batch at `now_us`. A
-    /// worker whose stream is still busy leaves the hand-off to the free
-    /// waiting ones while there are enough of them: a batch taken by a
-    /// busy stream would queue behind its backlog on the simulated clock.
-    pub(crate) fn take(&mut self, worker: usize, now_us: f64) -> Take {
-        if self.handoff.is_empty() {
-            return if self.closed {
-                Take::Closed
-            } else {
-                Take::Wait(None)
-            };
-        }
-        let busy_until_us = self.streams[worker].busy_until_us;
-        if busy_until_us > now_us && self.handoff.len() <= self.free_waiting(now_us, Some(worker)) {
-            return Take::Wait(Some(busy_until_us));
-        }
-        self.streams[worker].waiting = false;
-        Take::Job(self.handoff.pop_front().expect("checked non-empty"))
-    }
-
-    /// How many batches could start on a free stream at `now_us` without
-    /// queueing: the waiting workers whose stream is free, minus the
-    /// batches already handed off to them.
-    pub(crate) fn idle_budget(&self, now_us: f64) -> usize {
-        self.free_waiting(now_us, None)
-            .saturating_sub(self.handoff.len())
-    }
-
-    /// The earliest time after `now_us` a waiting worker's stream frees
-    /// up, when a request is queued to use it.
-    pub(crate) fn next_stream_free_us(&self, now_us: f64) -> Option<f64> {
-        if self.queues.is_empty() {
-            return None;
-        }
-        self.streams
+    /// The queue whose front request is oldest — among the queues with a
+    /// ready batch when `ready_only` — ties broken by key.
+    fn oldest(&self, now_us: f64, ready_only: bool) -> Option<String> {
+        self.queues
             .iter()
-            .filter(|s| s.waiting && s.busy_until_us > now_us)
-            .map(|s| s.busy_until_us)
-            .min_by(f64::total_cmp)
-    }
-
-    /// One scheduling pass at `now_us`. `flush` dispatches partial
-    /// batches immediately (draining) instead of waiting out the timeout.
-    /// `online` ignores each model's compiled max bucket when capping
-    /// batches: with an online tuner behind the workers, a batch larger
-    /// than every compiled bucket is served by split/fallback and tunes
-    /// its own bucket, whereas a zero-bucket dynamic model would
-    /// otherwise be capped to batches of 1 forever. `idle_budget` (see
-    /// [`Scheduler::idle_budget`]) is how many batches may start on a
-    /// free stream now: whatever full and timed-out batches leave of it
-    /// goes to partial batches, oldest front request first.
-    pub(crate) fn form(
-        &mut self,
-        now_us: f64,
-        max_batch: usize,
-        timeout_us: f64,
-        flush: bool,
-        online: bool,
-        idle_budget: usize,
-    ) -> FormResult {
-        let mut result = FormResult::default();
-        for queue in self.queues.values_mut() {
-            // Shed already-late work first so it neither occupies batch
-            // slots nor delays punctual requests.
-            let mut kept = VecDeque::with_capacity(queue.len());
-            for request in queue.drain(..) {
-                match request.deadline_us {
-                    Some(deadline) if now_us > deadline => result.shed.push(request),
-                    _ => kept.push_back(request),
-                }
-            }
-            *queue = kept;
-
-            let Some(front) = queue.front() else { continue };
-            let model_cap = if online {
-                usize::MAX
-            } else {
-                front.model.max_batch()
-            };
-            let cap = max_batch.min(model_cap).max(1);
-            let due_us = front.submitted_us + timeout_us;
-            let drain_all = flush || now_us >= due_us;
-
-            while queue.len() >= cap || (drain_all && !queue.is_empty()) {
-                let take = queue.len().min(cap);
-                result.jobs.push(batch_of(queue.drain(..take).collect()));
-            }
-        }
-
-        // Work conservation: every queue left holds less than a full
-        // batch, and a free stream would otherwise idle.
-        let spare = idle_budget.saturating_sub(result.jobs.len());
-        if spare > 0 {
-            let mut partials: Vec<(&String, &mut VecDeque<QueuedRequest>)> = self
-                .queues
-                .iter_mut()
-                .filter(|(_, q)| !q.is_empty())
-                .collect();
-            partials.sort_by(|(ka, a), (kb, b)| {
+            .filter(|(_, q)| !ready_only || self.ready_in(q, now_us) > 0)
+            .min_by(|(ka, a), (kb, b)| {
                 a[0].submitted_us
                     .total_cmp(&b[0].submitted_us)
                     .then_with(|| ka.cmp(kb))
-            });
-            for (_, queue) in partials.into_iter().take(spare) {
-                result.jobs.push(batch_of(queue.drain(..).collect()));
-            }
-        }
-
-        for queue in self.queues.values() {
-            if let Some(front) = queue.front() {
-                let mut wake = front.submitted_us + timeout_us;
-                for request in queue.iter() {
-                    if let Some(deadline) = request.deadline_us {
-                        wake = wake.min(deadline);
-                    }
-                }
-                result.next_wake_us = Some(match result.next_wake_us {
-                    Some(prev) => prev.min(wake),
-                    None => wake,
-                });
-            }
-        }
-        self.queues.retain(|_, q| !q.is_empty());
-        result
+            })
+            .map(|(key, _)| key.clone())
     }
-}
 
-fn batch_of(requests: Vec<QueuedRequest>) -> BatchJob {
-    BatchJob {
-        model: Arc::clone(&requests[0].model),
-        requests,
+    /// The earliest edge after `now_us` at which a queue's front times
+    /// out or a queued request's deadline passes.
+    fn next_edge(&self, now_us: f64) -> f64 {
+        self.queues
+            .values()
+            .flat_map(|q| {
+                let due_us = q[0].submitted_us + self.timeout_us;
+                q.iter()
+                    .filter_map(|r| r.deadline_us)
+                    .chain((due_us > now_us).then_some(due_us))
+            })
+            .fold(f64::INFINITY, f64::min)
     }
 }
 
@@ -297,7 +248,11 @@ mod tests {
     use crate::{EngineRegistry, ServeConfig};
     use bolt::BoltConfig;
     use bolt_tensor::{DType, Tensor};
+    use proptest::prelude::*;
     use std::sync::OnceLock;
+
+    /// A stream busy for longer than any test here runs, µs.
+    const BUSY: f64 = 1e12;
 
     /// Compiled once for every test here: engines are immutable.
     fn engines() -> Arc<ModelEngines> {
@@ -324,66 +279,96 @@ mod tests {
         }
     }
 
+    fn pending(sched: &Scheduler) -> usize {
+        sched.queues.values().map(VecDeque::len).sum()
+    }
+
+    /// Records `worker` waiting with its stream busy until
+    /// `busy_until_us`, then asks for its next batch at `now_us`,
+    /// discarding anything shed.
+    fn next_at(sched: &mut Scheduler, worker: usize, busy_until_us: f64, now_us: f64) -> Next {
+        sched.worker_waiting(worker, busy_until_us);
+        sched.next(worker, now_us, &mut Vec::new())
+    }
+
+    /// The batch's size and its front request's submit time.
+    fn taken(next: Next) -> (usize, f64) {
+        match next {
+            Next::Batch(job) => (job.requests.len(), job.requests[0].submitted_us),
+            other => panic!("expected a batch, got {other:?}"),
+        }
+    }
+
+    fn wait_until(next: Next) -> Option<f64> {
+        match next {
+            Next::Wait(wake) => wake,
+            other => panic!("expected a wait, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn full_batches_form_immediately_and_respect_max_batch() {
+    fn full_batches_dispatch_immediately_and_respect_max_batch() {
         let model = engines();
-        let mut sched = Scheduler::new(1);
+        let mut sched = Scheduler::new(1, 8, 1_000.0, false);
         let key = Scheduler::key_for(&model);
         for _ in 0..19 {
             sched.enqueue(key.clone(), request(&model, 0.0, None));
         }
-        // Before the timeout, only complete batches of 8 may form.
-        let result = sched.form(10.0, 8, 1_000.0, false, false, 0);
-        assert_eq!(result.jobs.len(), 2);
-        assert!(result.jobs.iter().all(|j| j.requests.len() == 8));
-        assert_eq!(sched.pending(), 3, "partial batch keeps waiting");
-        assert!(result.next_wake_us.is_some());
+        // Before the timeout, a busy stream takes only complete batches
+        // of 8.
+        assert_eq!(taken(next_at(&mut sched, 0, BUSY, 10.0)).0, 8);
+        assert_eq!(taken(next_at(&mut sched, 0, BUSY, 10.0)).0, 8);
+        assert_eq!(
+            wait_until(next_at(&mut sched, 0, BUSY, 10.0)),
+            Some(1_000.0),
+            "the partial batch keeps waiting"
+        );
+        assert_eq!(pending(&sched), 3);
 
-        // Past the timeout the remainder flushes as one partial batch.
-        let result = sched.form(2_000.0, 8, 1_000.0, false, false, 0);
-        assert_eq!(result.jobs.len(), 1);
-        assert_eq!(result.jobs[0].requests.len(), 3);
-        assert_eq!(sched.pending(), 0);
-        assert!(result.next_wake_us.is_none());
+        // Past the timeout the remainder leaves as one partial batch.
+        assert_eq!(taken(next_at(&mut sched, 0, BUSY, 2_000.0)).0, 3);
+        assert_eq!(pending(&sched), 0);
+        assert_eq!(wait_until(next_at(&mut sched, 0, BUSY, 2_000.0)), None);
     }
 
     #[test]
-    fn partial_batch_waits_for_timeout_then_flushes() {
+    fn partial_batch_waits_for_timeout_then_dispatches() {
         let model = engines();
-        let mut sched = Scheduler::new(1);
+        let mut sched = Scheduler::new(1, 8, 1_000.0, false);
         let key = Scheduler::key_for(&model);
         for _ in 0..3 {
             sched.enqueue(key.clone(), request(&model, 100.0, None));
         }
-        let early = sched.form(500.0, 8, 1_000.0, false, false, 0);
-        assert!(early.jobs.is_empty(), "timeout not reached");
-        assert_eq!(early.next_wake_us, Some(1_100.0));
-        let due = sched.form(1_100.0, 8, 1_000.0, false, false, 0);
-        assert_eq!(due.jobs.len(), 1);
-        assert_eq!(due.jobs[0].requests.len(), 3);
+        assert_eq!(
+            wait_until(next_at(&mut sched, 0, BUSY, 500.0)),
+            Some(1_100.0),
+            "timeout not reached"
+        );
+        assert_eq!(taken(next_at(&mut sched, 0, BUSY, 1_100.0)).0, 3);
     }
 
     #[test]
-    fn flush_drains_partials_immediately() {
+    fn draining_dispatches_partials_immediately() {
         let model = engines();
-        let mut sched = Scheduler::new(1);
+        let mut sched = Scheduler::new(1, 8, 1_000_000.0, false);
         sched.enqueue(Scheduler::key_for(&model), request(&model, 0.0, None));
-        let result = sched.form(1.0, 8, 1_000_000.0, true, false, 0);
-        assert_eq!(result.jobs.len(), 1);
-        assert_eq!(sched.pending(), 0);
+        sched.accepting = false;
+        assert_eq!(taken(next_at(&mut sched, 0, BUSY, 1.0)).0, 1);
+        assert_eq!(pending(&sched), 0);
     }
 
     #[test]
     fn expired_deadlines_are_shed_not_batched() {
         let model = engines();
-        let mut sched = Scheduler::new(1);
+        let mut sched = Scheduler::new(1, 8, 10.0, false);
         let key = Scheduler::key_for(&model);
         sched.enqueue(key.clone(), request(&model, 0.0, Some(50.0)));
         sched.enqueue(key.clone(), request(&model, 0.0, None));
-        let result = sched.form(100.0, 8, 10.0, false, false, 0);
-        assert_eq!(result.shed.len(), 1);
-        assert_eq!(result.jobs.len(), 1, "survivor still batches");
-        assert_eq!(result.jobs[0].requests.len(), 1);
+        sched.worker_waiting(0, BUSY);
+        let mut shed = Vec::new();
+        let next = sched.next(0, 100.0, &mut shed);
+        assert_eq!(shed.len(), 1);
+        assert_eq!(taken(next).0, 1, "the survivor still batches");
     }
 
     #[test]
@@ -392,18 +377,17 @@ mod tests {
         let model = registry
             .register_zoo("mlp-small", &[1, 2])
             .expect("register");
-        let mut sched = Scheduler::new(1);
+        // Global max_batch 8, but the model only has buckets up to 2.
+        let mut sched = Scheduler::new(1, 8, 0.0, false);
         let key = Scheduler::key_for(&model);
         for _ in 0..5 {
             sched.enqueue(key.clone(), request(&model, 0.0, None));
         }
-        // Global max_batch 8, but the model only has buckets up to 2.
-        let result = sched.form(10.0, 8, 0.0, false, false, 0);
-        assert!(result.jobs.iter().all(|j| j.requests.len() <= 2));
-        assert_eq!(
-            result.jobs.iter().map(|j| j.requests.len()).sum::<usize>(),
-            5
-        );
+        let mut sizes = Vec::new();
+        while let Next::Batch(job) = next_at(&mut sched, 0, BUSY, 10.0) {
+            sizes.push(job.requests.len());
+        }
+        assert_eq!(sizes, vec![2, 2, 1]);
     }
 
     #[test]
@@ -412,133 +396,356 @@ mod tests {
         let model = registry
             .register_zoo_dynamic("mlp-small")
             .expect("register");
-        let mut sched = Scheduler::new(1);
+        // A zero-bucket dynamic model would cap at 1 offline; with an
+        // online tuner behind the workers the global max_batch governs.
+        let mut sched = Scheduler::new(1, 8, 0.0, true);
         let key = Scheduler::key_for(&model);
         for _ in 0..5 {
             sched.enqueue(key.clone(), request(&model, 0.0, None));
         }
-        // A zero-bucket dynamic model would cap at 1 offline; with an
-        // online tuner behind the workers the global max_batch governs.
-        let result = sched.form(10.0, 8, 0.0, false, true, 0);
-        assert_eq!(result.jobs.len(), 1);
-        assert_eq!(result.jobs[0].requests.len(), 5);
-    }
-
-    /// Fronts (submit times) of the dispatched batches, in dispatch order.
-    fn fronts(result: &FormResult) -> Vec<f64> {
-        result
-            .jobs
-            .iter()
-            .map(|j| j.requests[0].submitted_us)
-            .collect()
+        assert_eq!(taken(next_at(&mut sched, 0, BUSY, 10.0)).0, 5);
     }
 
     #[test]
-    fn zero_idle_budget_holds_partials_until_the_timeout() {
+    fn busy_stream_holds_partials_until_the_timeout() {
         let model = engines();
         let key = Scheduler::key_for(&model);
-        // The same queue, formed with and without an idle stream: with
-        // none, the partial batch waits exactly as it did before work
-        // conservation; with one, it leaves at once, whole.
-        for (budget, dispatched) in [(0, 0), (1, 1)] {
-            let mut sched = Scheduler::new(1);
+        // The same queue, asked for by a busy and by a free stream: the
+        // busy one leaves the partial batch waiting for its timeout; the
+        // free one takes it at once, whole.
+        for (busy_until_us, dispatched) in [(BUSY, false), (0.0, true)] {
+            let mut sched = Scheduler::new(1, 8, 1_000.0, false);
             for _ in 0..3 {
                 sched.enqueue(key.clone(), request(&model, 100.0, None));
             }
-            let result = sched.form(500.0, 8, 1_000.0, false, false, budget);
-            assert_eq!(result.jobs.len(), dispatched, "budget {budget}");
-            assert_eq!(sched.pending(), 3 - 3 * dispatched);
-            if dispatched == 0 {
-                assert_eq!(result.next_wake_us, Some(1_100.0));
+            let next = next_at(&mut sched, 0, busy_until_us, 500.0);
+            if dispatched {
+                assert_eq!(taken(next).0, 3);
+                assert_eq!(pending(&sched), 0);
             } else {
-                assert_eq!(result.jobs[0].requests.len(), 3);
-                assert_eq!(result.next_wake_us, None);
+                assert_eq!(wait_until(next), Some(1_100.0));
+                assert_eq!(pending(&sched), 3);
             }
         }
+        // A busy stream also wakes when it frees up, if that comes first.
+        let mut sched = Scheduler::new(1, 8, 1_000.0, false);
+        sched.enqueue(key, request(&model, 100.0, None));
+        assert_eq!(
+            wait_until(next_at(&mut sched, 0, 700.0, 500.0)),
+            Some(700.0)
+        );
     }
 
     #[test]
-    fn idle_budget_dispatches_partials_oldest_front_first() {
+    fn free_streams_take_partials_oldest_front_first() {
         let model = engines();
-        let mut sched = Scheduler::new(3);
+        let mut sched = Scheduler::new(3, 8, 1_000.0, false);
         for (key, submitted_us) in [("a", 300.0), ("b", 100.0), ("c", 200.0)] {
             sched.enqueue(key.into(), request(&model, submitted_us, None));
             sched.enqueue(key.into(), request(&model, submitted_us + 1.0, None));
         }
-        let result = sched.form(400.0, 8, 1_000.0, false, false, 2);
-        assert_eq!(fronts(&result), vec![100.0, 200.0], "two oldest fronts");
-        assert!(result.jobs.iter().all(|j| j.requests.len() == 2));
-        assert_eq!(sched.depth("a"), 2, "the youngest partial keeps waiting");
-        assert_eq!(result.next_wake_us, Some(1_300.0));
+        // Two free streams take the two oldest fronts, whole; the busy
+        // third leaves the youngest partial waiting for its timeout.
+        assert_eq!(taken(next_at(&mut sched, 0, 0.0, 400.0)), (2, 100.0));
+        assert_eq!(taken(next_at(&mut sched, 1, 0.0, 400.0)), (2, 200.0));
+        assert_eq!(
+            wait_until(next_at(&mut sched, 2, BUSY, 400.0)),
+            Some(1_300.0)
+        );
+        assert_eq!(sched.depth("a"), 2);
     }
 
     #[test]
-    fn full_and_timed_out_batches_spend_the_idle_budget_first() {
+    fn full_and_timed_out_batches_go_before_partials() {
         let model = engines();
-        let mut sched = Scheduler::new(2);
+        let mut sched = Scheduler::new(3, 8, 1_000.0, false);
         for _ in 0..8 {
             sched.enqueue("full".into(), request(&model, 300.0, None));
         }
         sched.enqueue("old".into(), request(&model, 0.0, None));
         sched.enqueue("young".into(), request(&model, 200.0, None));
-        // The full batch and the timed-out one use both idle streams.
-        let result = sched.form(1_000.0, 8, 1_000.0, false, false, 2);
-        let mut sizes: Vec<usize> = result.jobs.iter().map(|j| j.requests.len()).collect();
-        sizes.sort_unstable();
-        assert_eq!(sizes, vec![1, 8]);
-        assert_eq!(sched.depth("young"), 1, "no budget left for it");
-        // One more idle stream would have taken it.
-        let result = sched.form(1_000.0, 8, 1_000.0, false, false, 1);
-        assert_eq!(fronts(&result), vec![200.0]);
-        assert_eq!(sched.pending(), 0);
+        // The timed-out and the full batch go first, oldest front first,
+        // though the young partial's front is older than the full one's.
+        assert_eq!(taken(next_at(&mut sched, 0, 0.0, 1_000.0)), (1, 0.0));
+        assert_eq!(taken(next_at(&mut sched, 1, 0.0, 1_000.0)), (8, 300.0));
+        assert_eq!(sched.depth("young"), 1);
+        // One more free stream takes it.
+        assert_eq!(taken(next_at(&mut sched, 2, 0.0, 1_000.0)), (1, 200.0));
+        assert_eq!(pending(&sched), 0);
     }
 
     #[test]
-    fn idle_budget_counts_waiting_free_streams_minus_untaken_batches() {
+    fn busy_stream_leaves_a_ready_batch_to_a_free_worker_but_takes_the_surplus() {
         let model = engines();
-        let job = || batch_of(vec![request(&model, 0.0, None)]);
-        let mut sched = Scheduler::new(3);
-        assert_eq!(sched.idle_budget(0.0), 0, "no worker is waiting yet");
-        sched.worker_waiting(0, 0.0);
-        sched.worker_waiting(1, 500.0);
-        sched.worker_waiting(2, 900.0);
-        assert_eq!(sched.idle_budget(100.0), 1, "streams 1 and 2 are busy");
-        assert_eq!(sched.idle_budget(500.0), 2);
-        sched.hand_off(vec![job()]);
-        assert_eq!(sched.idle_budget(500.0), 1, "one batch is on its way");
-        assert!(matches!(sched.take(0, 500.0), Take::Job(_)));
-        assert_eq!(sched.idle_budget(500.0), 1, "worker 1 is still free");
-        assert_eq!(sched.idle_budget(1_000.0), 2);
-
-        // The batcher wakes when a waiting worker's stream frees up, but
-        // only while a request is queued to use it.
-        assert_eq!(sched.next_stream_free_us(100.0), None);
-        sched.enqueue(Scheduler::key_for(&model), request(&model, 0.0, None));
-        assert_eq!(sched.next_stream_free_us(100.0), Some(500.0));
-        assert_eq!(sched.next_stream_free_us(500.0), Some(900.0));
-        assert_eq!(sched.next_stream_free_us(900.0), None);
-    }
-
-    #[test]
-    fn busy_streams_leave_handed_off_batches_to_free_ones() {
-        let model = engines();
-        let job = || batch_of(vec![request(&model, 0.0, None)]);
-        let mut sched = Scheduler::new(2);
-        sched.worker_waiting(0, 1_000.0);
+        let mut sched = Scheduler::new(2, 8, 1_000.0, false);
+        for _ in 0..16 {
+            sched.enqueue("k".into(), request(&model, 0.0, None));
+        }
         sched.worker_waiting(1, 0.0);
-        sched.hand_off(vec![job()]);
-        // Worker 0's stream is busy and worker 1's is free: the batch is
-        // worker 1's, and worker 0 waits until its stream frees up.
-        assert!(matches!(sched.take(0, 100.0), Take::Wait(Some(t)) if t == 1_000.0));
-        assert!(matches!(sched.take(1, 100.0), Take::Job(_)));
-        // More batches than free streams: the busy stream takes the rest
-        // rather than leave them unclaimed.
-        sched.hand_off(vec![job()]);
-        assert!(matches!(sched.take(0, 100.0), Take::Job(_)));
-        // Empty hand-off: wait for work, or stop once closed.
-        sched.worker_waiting(0, 1_000.0);
-        assert!(matches!(sched.take(0, 100.0), Take::Wait(None)));
-        sched.close();
-        assert!(matches!(sched.take(0, 100.0), Take::Closed));
+        // Two full batches, one free waiting worker: the busy stream
+        // takes the surplus one…
+        assert_eq!(taken(next_at(&mut sched, 0, 1_000.0, 100.0)).0, 8);
+        // …and leaves the other to worker 1, waiting until its own
+        // stream frees up.
+        assert_eq!(
+            wait_until(next_at(&mut sched, 0, 1_000.0, 100.0)),
+            Some(1_000.0)
+        );
+        assert_eq!(taken(sched.next(1, 100.0, &mut Vec::new())).0, 8);
+        // A worker that is not waiting (running a batch) is not a free
+        // stream: the busy one takes the next ready batch itself.
+        for _ in 0..8 {
+            sched.enqueue("k".into(), request(&model, 0.0, None));
+        }
+        assert_eq!(taken(next_at(&mut sched, 0, 1_000.0, 100.0)).0, 8);
+    }
+
+    #[test]
+    fn drained_once_draining_and_empty() {
+        let model = engines();
+        let mut sched = Scheduler::new(1, 8, 1_000.0, false);
+        assert_eq!(
+            wait_until(next_at(&mut sched, 0, 0.0, 0.0)),
+            None,
+            "wait for work"
+        );
+        sched.enqueue("k".into(), request(&model, 0.0, None));
+        sched.accepting = false;
+        assert_eq!(
+            taken(next_at(&mut sched, 0, BUSY, 1.0)).0,
+            1,
+            "queued work first"
+        );
+        assert!(matches!(next_at(&mut sched, 0, BUSY, 1.0), Next::Drained));
+    }
+
+    /// One step of a randomized schedule: `(op, worker, arg)`.
+    type Op = (u8, usize, u64);
+
+    /// The test's own model of one queued request.
+    #[derive(Debug)]
+    struct Queued {
+        id: usize,
+        submitted_us: f64,
+        deadline_us: Option<f64>,
+    }
+
+    const TIMEOUT_US: f64 = 200.0;
+
+    /// A scheduler driven through a random schedule beside an independent
+    /// model of its queues, checking every dispatch decision.
+    struct Harness {
+        sched: Scheduler,
+        cap: usize,
+        queues: HashMap<String, VecDeque<Queued>>,
+        /// Response-slot address → request id.
+        ids: HashMap<usize, usize>,
+        /// Every slot, kept alive so addresses stay unique.
+        slots: Vec<Arc<ResponseSlot>>,
+        /// Ids in the order they left, taken or shed.
+        left: Vec<usize>,
+        /// Per worker: (waiting, busy_until_us).
+        streams: Vec<(bool, f64)>,
+    }
+
+    impl Harness {
+        fn id(&self, request: &QueuedRequest) -> usize {
+            self.ids[&(Arc::as_ptr(&request.slot) as usize)]
+        }
+
+        /// Ready batches in the model's `queue` at `now_us`.
+        fn ready(&self, queue: &VecDeque<Queued>, now_us: f64) -> usize {
+            if !self.sched.accepting || now_us >= queue[0].submitted_us + TIMEOUT_US {
+                queue.len().div_ceil(self.cap)
+            } else {
+                queue.len() / self.cap
+            }
+        }
+
+        fn enqueue(&mut self, key: &str, now_us: f64, deadline_us: Option<f64>) {
+            let request = request(&engines(), now_us, deadline_us);
+            let id = self.slots.len();
+            self.ids.insert(Arc::as_ptr(&request.slot) as usize, id);
+            self.slots.push(Arc::clone(&request.slot));
+            self.sched.enqueue(key.into(), request);
+            self.queues
+                .entry(key.into())
+                .or_default()
+                .push_back(Queued {
+                    id,
+                    submitted_us: now_us,
+                    deadline_us,
+                });
+        }
+
+        fn waiting(&mut self, worker: usize, busy_until_us: f64) {
+            self.sched.worker_waiting(worker, busy_until_us);
+            self.streams[worker] = (true, busy_until_us);
+        }
+
+        /// Asks for waiting `worker`'s next batch at `now_us`; `false`
+        /// once it is drained.
+        fn next(&mut self, worker: usize, now_us: f64) -> Result<bool, TestCaseError> {
+            let mut shed = Vec::new();
+            let next = self.sched.next(worker, now_us, &mut shed);
+            for request in &shed {
+                let id = self.id(request);
+                let late = self.queues.values_mut().find_map(|q| {
+                    let at = q.iter().position(|r| r.id == id)?;
+                    q.remove(at)
+                });
+                prop_assert!(late.is_some(), "request {} left twice", id);
+                prop_assert!(
+                    late.and_then(|r| r.deadline_us).is_some_and(|d| now_us > d),
+                    "request {} shed before its deadline",
+                    id
+                );
+                self.left.push(id);
+            }
+            self.queues.retain(|_, q| !q.is_empty());
+            prop_assert!(
+                self.queues
+                    .values()
+                    .flatten()
+                    .all(|r| r.deadline_us.is_none_or(|d| now_us <= d)),
+                "a late request survived shedding"
+            );
+            let free = self.streams[worker].1 <= now_us;
+            match next {
+                Next::Batch(job) => {
+                    let batch: Vec<usize> = job.requests.iter().map(|r| self.id(r)).collect();
+                    let n = batch.len();
+                    prop_assert!(
+                        n >= 1 && n <= self.cap,
+                        "batch of {} over cap {}",
+                        n,
+                        self.cap
+                    );
+                    let key = self
+                        .queues
+                        .iter()
+                        .find(|(_, q)| q[0].id == batch[0])
+                        .map(|(k, _)| k.clone());
+                    prop_assert!(
+                        key.is_some(),
+                        "batch front {} is no queue's front",
+                        batch[0]
+                    );
+                    let key = key.expect("checked");
+                    let ready_total: usize =
+                        self.queues.values().map(|q| self.ready(q, now_us)).sum();
+                    let was_ready = self.ready(&self.queues[&key], now_us) > 0;
+                    let free_others = (0..self.streams.len())
+                        .filter(|&w| {
+                            w != worker && self.streams[w].0 && self.streams[w].1 <= now_us
+                        })
+                        .count();
+                    if !free {
+                        prop_assert!(was_ready, "a busy stream took a partial batch");
+                        prop_assert!(
+                            ready_total > free_others,
+                            "a busy stream took one of {} ready batches from {} free waiting workers",
+                            ready_total,
+                            free_others
+                        );
+                    }
+                    let queue = self.queues.get_mut(&key).expect("found");
+                    let front: Vec<usize> = queue.drain(..n).map(|r| r.id).collect();
+                    prop_assert_eq!(&batch, &front, "FIFO within queue {}", key);
+                    self.queues.retain(|_, q| !q.is_empty());
+                    self.left.extend(batch);
+                    self.streams[worker].0 = false;
+                    Ok(true)
+                }
+                Next::Wait(_) => {
+                    prop_assert!(
+                        !free || self.queues.is_empty(),
+                        "a free waiting stream waited while requests were queued"
+                    );
+                    Ok(true)
+                }
+                Next::Drained => {
+                    prop_assert!(
+                        !self.sched.accepting && self.queues.is_empty(),
+                        "drained early"
+                    );
+                    Ok(false)
+                }
+            }
+        }
+    }
+
+    fn check_schedule(workers: usize, max_batch: usize, ops: &[Op]) -> Result<(), TestCaseError> {
+        let mut h = Harness {
+            sched: Scheduler::new(workers, max_batch, TIMEOUT_US, false),
+            // mlp-small's largest default bucket, 8, is above max_batch.
+            cap: max_batch,
+            queues: HashMap::new(),
+            ids: HashMap::new(),
+            slots: Vec::new(),
+            left: Vec::new(),
+            streams: vec![(false, 0.0); workers],
+        };
+        let mut now_us = 0.0;
+        for &(op, worker, arg) in ops {
+            let worker = worker % workers;
+            match op {
+                0 => {
+                    let key = if arg % 2 == 0 { "a" } else { "b" };
+                    h.enqueue(key, now_us, (arg % 3 == 0).then_some(now_us + arg as f64));
+                }
+                1 => now_us += arg as f64,
+                2 if !h.streams[worker].0 => {
+                    let backlog = if arg % 2 == 0 { arg as f64 } else { 0.0 };
+                    h.waiting(worker, now_us + backlog);
+                }
+                3 if h.streams[worker].0 => {
+                    h.next(worker, now_us)?;
+                }
+                _ => {}
+            }
+        }
+
+        // Drain: every worker comes back on a free stream until all of
+        // them are told to stop.
+        h.sched.accepting = false;
+        let mut running = vec![true; workers];
+        while running.contains(&true) {
+            now_us += 1.0;
+            for (worker, running) in running.iter_mut().enumerate() {
+                if *running {
+                    h.waiting(worker, now_us);
+                    *running = h.next(worker, now_us)?;
+                }
+            }
+        }
+        let mut left = h.left.clone();
+        left.sort_unstable();
+        prop_assert_eq!(
+            left,
+            (0..h.slots.len()).collect::<Vec<_>>(),
+            "every request leaves exactly once"
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Over random interleavings of submissions, clock advances,
+        /// workers turning idle (on a free or a busy stream) and dispatch
+        /// calls: every request leaves exactly once, taken or shed;
+        /// batches are FIFO within a queue and never exceed the cap; a
+        /// free waiting stream never waits while a request is queued; and
+        /// a busy stream never takes a batch a free waiting worker could
+        /// take.
+        #[test]
+        fn dispatch_invariants_hold_over_random_schedules(
+            workers in 1usize..4,
+            max_batch in 1usize..6,
+            ops in prop::collection::vec((0u8..4, 0usize..4, 0u64..400), 1..160),
+        ) {
+            check_schedule(workers, max_batch, &ops)?;
+        }
     }
 }

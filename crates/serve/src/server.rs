@@ -1,5 +1,7 @@
-//! The serving front-end: admission control, the batcher thread, and the
-//! worker pool of simulated GPU streams.
+//! The serving front-end: admission control, and the worker pool of
+//! simulated GPU streams. Each worker is a thin thread loop around
+//! [`Scheduler::next`]: it asks for its own next batch, runs it on its
+//! stream, and asks again; the dispatch decision lives in the scheduler.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -17,10 +19,10 @@ use crate::registry::EngineRegistry;
 use crate::request::{
     InferResponse, LatencyBreakdown, Outcome, QueuedRequest, RequestHandle, ResponseSlot,
 };
-use crate::scheduler::{BatchJob, Scheduler, Take};
+use crate::scheduler::{BatchJob, Next, Scheduler};
 use crate::Result;
 
-/// Shared state between the front-end, the batcher, and the workers.
+/// Shared state between the front-end and the workers.
 struct Inner {
     registry: Arc<EngineRegistry>,
     config: ServeConfig,
@@ -31,10 +33,7 @@ struct Inner {
     epoch: Instant,
     metrics: Metrics,
     sched: Mutex<Scheduler>,
-    /// Wakes the batcher on submissions, workers turning idle or taking
-    /// a batch, and shutdown.
-    sched_cv: Condvar,
-    /// Wakes the workers on hand-offs and when the hand-off closes.
+    /// Wakes waiting workers on submissions and on drain.
     work_cv: Condvar,
     next_id: AtomicU64,
 }
@@ -49,17 +48,6 @@ impl Inner {
     }
 }
 
-/// Sleeps on `cv`, releasing the scheduler lock, for at most `wait`.
-fn wait<'a>(
-    cv: &Condvar,
-    sched: MutexGuard<'a, Scheduler>,
-    wait: Duration,
-) -> MutexGuard<'a, Scheduler> {
-    cv.wait_timeout(sched, wait)
-        .unwrap_or_else(|e| e.into_inner())
-        .0
-}
-
 /// A multi-model dynamic-batching inference server over compiled Bolt
 /// engines.
 ///
@@ -69,7 +57,6 @@ fn wait<'a>(
 /// drains it.
 pub struct BoltServer {
     inner: Arc<Inner>,
-    batcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -83,9 +70,9 @@ impl std::fmt::Debug for BoltServer {
 }
 
 impl BoltServer {
-    /// Starts the batcher and `config.workers` stream workers over the
-    /// models already registered in `registry` (models may also be
-    /// registered while the server runs).
+    /// Starts `config.workers` stream workers over the models already
+    /// registered in `registry` (models may also be registered while the
+    /// server runs).
     ///
     /// # Errors
     ///
@@ -100,12 +87,16 @@ impl BoltServer {
             .map(|oc| OnlineEngineManager::new(Arc::clone(&registry), oc));
         let inner = Arc::new(Inner {
             registry,
-            sched: Mutex::new(Scheduler::new(config.workers)),
+            sched: Mutex::new(Scheduler::new(
+                config.workers,
+                config.max_batch,
+                config.batch_timeout.as_secs_f64() * 1e6,
+                online.is_some(),
+            )),
             config,
             online,
             epoch: Instant::now(),
             metrics: Metrics::default(),
-            sched_cv: Condvar::new(),
             work_cv: Condvar::new(),
             next_id: AtomicU64::new(0),
         });
@@ -117,7 +108,7 @@ impl BoltServer {
                 // loop; one that still escapes (an injected worker kill,
                 // a real bug outside batch scope) restarts the loop in
                 // place so the stream pool never shrinks. A clean return
-                // means the hand-off closed: drained.
+                // means the server drained.
                 std::thread::spawn(move || loop {
                     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         worker_loop(&inner, worker)
@@ -128,16 +119,7 @@ impl BoltServer {
                 })
             })
             .collect();
-        let batcher = {
-            let inner = Arc::clone(&inner);
-            std::thread::spawn(move || batcher_loop(&inner))
-        };
-
-        Ok(BoltServer {
-            inner,
-            batcher: Some(batcher),
-            workers,
-        })
+        Ok(BoltServer { inner, workers })
     }
 
     /// The registry backing this server.
@@ -247,7 +229,7 @@ impl BoltServer {
             },
         );
         inner.metrics.accepted();
-        inner.sched_cv.notify_all();
+        inner.work_cv.notify_all();
         Ok(RequestHandle { id, slot })
     }
 
@@ -293,29 +275,26 @@ impl BoltServer {
     /// exactly-once guarantee holds: every accepted request resolves,
     /// just mostly as rejections.
     pub fn abort(mut self) -> MetricsSnapshot {
-        {
+        let queued = {
             let mut sched = self.inner.lock_sched();
-            sched.aborting = true;
-            self.inner.sched_cv.notify_all();
-        }
+            sched.accepting = false;
+            sched.take_all()
+        };
+        // Resolve outside the lock. Exactly-once still holds — each
+        // request resolves, as a shed or a rejection.
+        let now_us = self.inner.now_us();
+        let (late, rest): (Vec<_>, Vec<_>) = queued.into_iter().partition(|r| r.is_late(now_us));
+        shed(&self.inner, late, now_us);
+        self.inner.metrics.dequeued(rest.len());
+        reject_all(&self.inner, rest, "server aborted");
         self.drain();
         self.metrics()
     }
 
+    /// Stops accepting; the workers take what is queued, then stop.
     fn drain(&mut self) {
-        if self.batcher.is_none() {
-            return;
-        }
-        {
-            let mut sched = self.inner.lock_sched();
-            sched.accepting = false;
-            self.inner.sched_cv.notify_all();
-        }
-        if let Some(handle) = self.batcher.take() {
-            let _ = handle.join();
-        }
-        // The batcher closed the hand-off on exit; workers drain it and
-        // stop.
+        self.inner.lock_sched().accepting = false;
+        self.inner.work_cv.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -328,76 +307,9 @@ impl Drop for BoltServer {
     }
 }
 
-/// Idle re-check interval: bounds how stale a sleeping batcher's or
-/// worker's view can get even if a wakeup is missed.
+/// Idle re-check interval: bounds how stale a sleeping worker's view can
+/// get even if a wakeup is missed.
 const IDLE_TICK: Duration = Duration::from_millis(20);
-
-fn batcher_loop(inner: &Inner) {
-    let timeout_us = inner.config.batch_timeout.as_secs_f64() * 1e6;
-    let mut sched = inner.lock_sched();
-    loop {
-        let now_us = inner.now_us();
-        let flush = !sched.accepting;
-        let idle_budget = sched.idle_budget(now_us);
-        let result = sched.form(
-            now_us,
-            inner.config.max_batch,
-            timeout_us,
-            flush,
-            inner.online.is_some(),
-            idle_budget,
-        );
-        let idle = result.jobs.is_empty() && result.shed.is_empty();
-        if flush && idle && sched.pending() == 0 {
-            // Drained: workers finish the hand-off, then stop.
-            sched.close();
-            inner.work_cv.notify_all();
-            return;
-        }
-        if !idle {
-            // Count the formed requests in flight before any worker can
-            // complete one.
-            inner
-                .metrics
-                .dequeued(result.jobs.iter().map(|j| j.requests.len()).sum());
-            let aborted = if sched.aborting {
-                result.jobs
-            } else {
-                sched.hand_off(result.jobs);
-                inner.work_cv.notify_all();
-                // Bounded hand-off: at most ~one formed batch per worker
-                // waits to be taken. Any further backlog stays in the
-                // scheduler queues, where deadline shedding and
-                // queue-capacity backpressure still apply.
-                while sched.handoff_len() > inner.config.workers {
-                    sched = wait(&inner.sched_cv, sched, IDLE_TICK);
-                }
-                Vec::new()
-            };
-            // Resolve outside the lock so submitters keep moving.
-            drop(sched);
-            for request in result.shed {
-                inner.metrics.deadline_shed();
-                request.slot.resolve(Outcome::DeadlineExceeded {
-                    waited_us: now_us - request.submitted_us,
-                });
-            }
-            for job in aborted {
-                // Abort drain: terminate queued work fast instead of
-                // executing it. Exactly-once still holds — each request
-                // resolves, as a rejection.
-                reject_all(inner, job.requests, "server aborted");
-            }
-            sched = inner.lock_sched();
-            continue; // re-form: new work may have queued meanwhile
-        }
-        let wake = match (result.next_wake_us, sched.next_stream_free_us(now_us)) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        sched = wait(&inner.sched_cv, sched, until(wake, now_us));
-    }
-}
 
 /// How long to sleep from `now_us` to the `wake` edge, capped by
 /// [`IDLE_TICK`].
@@ -407,23 +319,47 @@ fn until(wake: Option<f64>, now_us: f64) -> Duration {
         .min(IDLE_TICK)
 }
 
+/// Resolves each request as [`Outcome::DeadlineExceeded`] at `now_us`,
+/// counting it.
+fn shed(inner: &Inner, requests: impl IntoIterator<Item = QueuedRequest>, now_us: f64) {
+    for request in requests {
+        inner.metrics.deadline_shed();
+        request.slot.resolve(Outcome::DeadlineExceeded {
+            waited_us: now_us - request.submitted_us,
+        });
+    }
+}
+
 /// Blocks worker `worker`, whose stream is busy until `busy_until_us`,
-/// until it may take a batch; `None` once the server has drained.
+/// until [`Scheduler::next`] gives it a batch; `None` once the server has
+/// drained.
 fn next_job(inner: &Inner, worker: usize, busy_until_us: f64) -> Option<BatchJob> {
     let mut sched = inner.lock_sched();
-    // A worker turning idle may let a partial batch leave now.
     sched.worker_waiting(worker, busy_until_us);
-    inner.sched_cv.notify_all();
+    let mut late = Vec::new();
     loop {
         let now_us = inner.now_us();
-        match sched.take(worker, now_us) {
-            Take::Job(job) => {
-                // Room in the hand-off for the batcher.
-                inner.sched_cv.notify_all();
+        let next = sched.next(worker, now_us, &mut late);
+        if late.is_empty() {
+            if let Next::Wait(wake) = next {
+                sched = inner
+                    .work_cv
+                    .wait_timeout(sched, until(wake, now_us))
+                    .unwrap_or_else(|e| e.into_inner())
+                    .0;
+                continue;
+            }
+        }
+        // Resolve outside the lock so submitters keep moving.
+        drop(sched);
+        shed(inner, late.drain(..), now_us);
+        match next {
+            Next::Batch(job) => {
+                inner.metrics.dequeued(job.requests.len());
                 return Some(job);
             }
-            Take::Closed => return None,
-            Take::Wait(wake) => sched = wait(&inner.work_cv, sched, until(wake, now_us)),
+            Next::Drained => return None,
+            Next::Wait(_) => sched = inner.lock_sched(), // ask again: time moved on
         }
     }
 }
@@ -473,27 +409,7 @@ fn reject_all(inner: &Inner, requests: impl IntoIterator<Item = QueuedRequest>, 
 }
 
 fn execute_batch(inner: &Inner, job: &mut BatchJob, busy_until_us: &mut f64) {
-    // Deadline enforcement at dequeue time: formation-time shedding
-    // cannot see time spent *after* the batch formed — waiting in the
-    // hand-off channel behind a slow batch. A request whose deadline has
-    // passed by now is shed, not executed late.
-    let dequeue_us = inner.now_us();
-    job.requests.retain_mut(|request| {
-        let expired = request
-            .deadline_us
-            .is_some_and(|deadline| dequeue_us > deadline);
-        if expired {
-            inner.metrics.deadline_shed_dequeue();
-            request.slot.resolve(Outcome::DeadlineExceeded {
-                waited_us: dequeue_us - request.submitted_us,
-            });
-        }
-        !expired
-    });
     let batch = job.requests.len();
-    if batch == 0 {
-        return;
-    }
     // Place, run (bucket-sized chunks per launch, when the model is
     // functional) and price the batch. The inputs are moved out: a
     // request no longer needs them once its batch runs.
@@ -523,7 +439,7 @@ fn execute_batch(inner: &Inner, job: &mut BatchJob, busy_until_us: &mut f64) {
     }
 
     // Chaos: a slow batch (stalls this stream, so later batches queue
-    // behind it and may hit their deadlines at dequeue), then a mid-batch
+    // behind it and may be shed at their deadlines), then a mid-batch
     // panic before any result is published (isolated by the worker's
     // per-batch catch_unwind above).
     bolt::faults::stall(bolt::faults::FaultSite::BatchStall);

@@ -91,9 +91,9 @@ fn register_ballast(registry: &EngineRegistry) -> Result<()> {
 ///
 /// Ballast requests go in one at a time, each awaited, until `workers`
 /// of them have started on a free stream. One that a busy stream picked
-/// up (possible while a free worker has not reached the hand-off yet)
-/// only lengthens that stream's backlog, so the loop needs no sleeps
-/// and ends in a known state. Returns how many ballast requests
+/// up (possible when it times out before a free worker is back asking
+/// for work) only lengthens that stream's backlog, so the loop needs no
+/// sleeps and ends in a known state. Returns how many ballast requests
 /// completed, for tests that count batches or completions.
 ///
 /// # Panics
